@@ -47,6 +47,9 @@ __all__ = [
 # Below these thresholds the root brackets degenerate (the root collides with
 # a bracket endpoint to machine precision), so we snap to the exact crossing.
 _ZERO_MODE_SNAP = 1e-12
+# From |gamma| L = 2^52 on, the oscillatory roots are taken at the Dirichlet
+# wall (see _oscillatory_roots).
+_DIRICHLET_SNAP = 2.0**52
 
 _BRENTQ_OPTS = dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
@@ -195,10 +198,27 @@ def _bracketed_root(f, lo: float, hi: float, what: str) -> float:
 
 
 def _oscillatory_roots(spec: BoxSpec, n_each: int) -> list[tuple[float, str]]:
-    """The first few positive-k roots of each parity, as (k, parity) pairs."""
+    """The first few positive-k roots of each parity, as (k, parity) pairs.
+
+    Each root runs to a Dirichlet wavenumber as |gamma| grows: to the upper
+    end of its phase bracket for gamma > 0, to the lower end for gamma < 0.
+    Once |gamma| L >= 2^52 that wavenumber is taken directly.  The Robin shift
+    of k, about 2/(|gamma| L) relative, is then at most 4.4e-16, while gamma
+    times the rounding error of cos or sin at a bracket end can outweigh k and
+    break the bracket.
+    """
     L, gamma = spec.L, spec.gamma
     roots: list[tuple[float, str]] = []
     two_over_L = 2.0 / L
+    snap = abs(gamma) * L >= _DIRICHLET_SNAP
+
+    def root(f, lo: float, hi: float, what: str) -> float:
+        # lo and hi bound the phase u = kL/2
+        if snap:
+            n = round(2.0 * (hi if gamma > 0 else lo) / math.pi)
+            return n * math.pi / L
+        return _bracketed_root(lambda k: f(k, L, gamma), lo * two_over_L, hi * two_over_L, what)
+
     for j in range(n_each):
         # Even parity: for gamma > 0 the phase u = kL/2 sits in (j pi, j pi + pi/2),
         # for gamma < 0 in (j pi + pi/2, (j+1) pi).  Signs at the endpoints are
@@ -207,11 +227,7 @@ def _oscillatory_roots(spec: BoxSpec, n_each: int) -> list[tuple[float, str]]:
             lo, hi = j * math.pi, j * math.pi + 0.5 * math.pi
         else:
             lo, hi = j * math.pi + 0.5 * math.pi, (j + 1) * math.pi
-        k = _bracketed_root(
-            lambda k: _even_osc_f(k, L, gamma), lo * two_over_L, hi * two_over_L,
-            f"even oscillatory root {j}",
-        )
-        roots.append((k, "even"))
+        roots.append((root(_even_osc_f, lo, hi, f"even oscillatory root {j}"), "even"))
 
         # Odd parity: for gamma > 0 the phase is in (j pi + pi/2, (j+1) pi), for
         # gamma < 0 in (j pi, j pi + pi/2).  The j = 0 bracket starts at k = 0
@@ -222,13 +238,9 @@ def _oscillatory_roots(spec: BoxSpec, n_each: int) -> list[tuple[float, str]]:
         else:
             if j == 0 and gamma <= -two_over_L:
                 continue
-            lo, hi = j * math.pi, j * math.pi + 0.5 * math.pi
-        k_lo = lo * two_over_L if j > 0 or gamma > 0 else 1e-12 * two_over_L
-        k = _bracketed_root(
-            lambda k: _odd_osc_f(k, L, gamma), k_lo, hi * two_over_L,
-            f"odd oscillatory root {j}",
-        )
-        roots.append((k, "odd"))
+            # k = 0 solves the odd condition for every gamma: start just above it
+            lo, hi = max(j * math.pi, 1e-12), j * math.pi + 0.5 * math.pi
+        roots.append((root(_odd_osc_f, lo, hi, f"odd oscillatory root {j}"), "odd"))
     return roots
 
 
@@ -257,17 +269,31 @@ def _evanescent_roots(spec: BoxSpec) -> list[tuple[float, str]]:
     return roots
 
 
+def _energy(spec: BoxSpec, branch: str, wavenumber: float) -> float:
+    """k^2/2m, -q^2/2m or 0; InvalidArgumentError when a double cannot hold it."""
+    if branch == "zero-mode":
+        return 0.0
+    try:
+        magnitude = wavenumber**2 / (2.0 * spec.m)
+    except OverflowError:
+        magnitude = math.inf
+    if math.isinf(magnitude):
+        raise InvalidArgumentError(
+            f"the {branch} level with wavenumber {wavenumber} at gamma={spec.gamma} "
+            "has an energy beyond double precision"
+        )
+    return magnitude if branch == "oscillatory" else -magnitude
+
+
 def _make_state(spec: BoxSpec, index: int, parity: str, branch: str, wavenumber: float) -> Eigenstate1D:
+    energy = _energy(spec, branch, wavenumber)
     if branch == "oscillatory":
-        energy = wavenumber**2 / (2.0 * spec.m)
         A = _osc_norm(spec.L, wavenumber, parity)
         log_norm = math.log(A)
     elif branch == "evanescent":
-        energy = -(wavenumber**2) / (2.0 * spec.m)
         log_norm = _evan_log_norm(spec.L, wavenumber, parity)
         A = math.exp(log_norm)
     else:  # zero-mode
-        energy = 0.0
         A = math.sqrt(1.0 / spec.L) if parity == "even" else math.sqrt(12.0 / spec.L**3)
         log_norm = math.log(A)
     return Eigenstate1D(spec, index, parity, branch, wavenumber, energy, A, log_norm)
@@ -313,15 +339,7 @@ def solve_spectrum(spec: BoxSpec, count: int) -> list[Eigenstate1D]:
         for k, parity in _oscillatory_roots(spec, per_parity):
             entries.append((parity, "oscillatory", k))
 
-    def energy_of(entry: tuple[str, str, float]) -> float:
-        parity, branch, w = entry
-        if branch == "oscillatory":
-            return w**2 / (2.0 * spec.m)
-        if branch == "evanescent":
-            return -(w**2) / (2.0 * spec.m)
-        return 0.0
-
-    entries.sort(key=energy_of)
+    entries.sort(key=lambda entry: _energy(spec, entry[1], entry[2]))
     if len(entries) < count:
         raise SolverFailureError(
             f"generated only {len(entries)} states, needed {count}"

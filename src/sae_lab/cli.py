@@ -19,10 +19,6 @@ appear as inf/-inf/nan in CSV and as the strings "inf"/"-inf"/"nan" in
 JSON (which has no literal for them).  Diagnostics go to stderr; data goes
 to stdout or the --output file.  Exit codes: 0 success, 2 usage or invalid
 configuration, 3 unreadable input or unwritable output, 4 solver failure.
-
-The environment variable SAE_LAB_THREADS caps how many worker threads a
-parameter sweep may use (default 4; sweeps are order-preserving, so the
-thread count never changes the output bytes).
 """
 
 from __future__ import annotations
@@ -30,9 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import box1d, dirac_wall, hetero, qdot_fd, wall_models
@@ -66,6 +60,12 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # rendering
+#
+# Every cmd_* returns (header, rows, doc): the CSV table and the JSON body
+# without "schema" and "command".  A doc whose "rows" is _KEYED_ROWS serves
+# the CSV rows, keyed by the header, as its JSON rows.
+
+_KEYED_ROWS = object()
 
 
 def _fmt(value: float) -> str:
@@ -102,105 +102,81 @@ def _json_ready(value):
     return "inf" if value > 0 else "-inf"
 
 
-def _json(obj) -> str:
-    return json.dumps(_json_ready(obj), indent=2) + "\n"
+def _render(config: RunConfig, header, rows, doc) -> str:
+    if config.params["format"] == "csv":
+        return _csv(header, rows)
+    body = {"schema": SCHEMA_VERSION, "command": config.subcommand, **doc}
+    if body.get("rows") is _KEYED_ROWS:
+        body["rows"] = [dict(zip(header, row)) for row in rows]
+    return json.dumps(_json_ready(body), indent=2) + "\n"
 
 
-def _sweep(fn, items):
-    """Map fn over items in order, optionally on a capped thread pool."""
-    raw = os.environ.get("SAE_LAB_THREADS")
-    if raw is None:
-        cap = 4
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"SAE_LAB_THREADS must be a positive integer, got {raw!r}"
-            ) from None
-        if cap < 1:
-            raise InvalidArgumentError(
-                f"SAE_LAB_THREADS must be a positive integer, got {raw!r}"
-            )
-    workers = min(cap, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+# ---------------------------------------------------------------------------
+# sweeps
+
+
+def _arctan_samples(params: dict, name: str, scale: float):
+    """(x, value) samples of the --<name> options, uniform in x = arctan(value * scale).
+
+    A single --<name> gives one sample; otherwise --<name>-steps samples run
+    from --<name>-min to --<name>-max, each end defaulting to the matching
+    infinity.  An x that reaches +-pi/2 (the float value) maps to +-inf: for
+    the wall parameter that is the Dirichlet spectrum, which is also the
+    correct limit for any gamma too large to distinguish from the wall at
+    double precision.
+    """
+    single = params.get(name)
+    if single is not None:
+        return [(math.atan(single * scale), single)]
+    steps = params[f"{name}_steps"]
+    if steps < 2:
+        article = "an" if name[0] in "aeiou" else "a"
+        raise InvalidArgumentError(f"{article} {name} sweep needs at least 2 steps, got {steps}")
+    half_pi = math.pi / 2.0
+    lo, hi = params[f"{name}_min"], params[f"{name}_max"]
+    x_lo = -half_pi if lo is None else math.atan(lo * scale)
+    x_hi = half_pi if hi is None else math.atan(hi * scale)
+    if not x_lo < x_hi:
+        raise InvalidArgumentError(f"empty {name} range: min {lo} does not lie below max {hi}")
+    samples = []
+    for i in range(steps):
+        t = i / (steps - 1)
+        x = x_lo * (1.0 - t) + x_hi * t
+        if x <= -half_pi:
+            value = -math.inf
+        elif x >= half_pi:
+            value = math.inf
+        else:
+            value = math.tan(x) / scale
+        samples.append((x, value))
+    return samples
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def _spectrum_gammas(length: float, params: dict):
-    """(x, gamma) samples of the sweep, uniform in x = arctan(gamma L / 2).
-
-    An x that reaches +-pi/2 (the float value) maps to gamma = +-inf: the
-    spectrum there is the Dirichlet one, which is also the correct limit for
-    any gamma too large to distinguish from the wall at double precision.
-    """
-    if params.get("gamma") is not None:
-        g = params["gamma"]
-        return [(math.atan(g * length / 2.0), g)]
-    steps = params["gamma_steps"]
-    if steps < 2:
-        raise InvalidArgumentError(f"a gamma sweep needs at least 2 steps, got {steps}")
-    half_pi = math.pi / 2.0
-    gmin, gmax = params["gamma_min"], params["gamma_max"]
-    x_lo = -half_pi if gmin is None else math.atan(gmin * length / 2.0)
-    x_hi = half_pi if gmax is None else math.atan(gmax * length / 2.0)
-    if not x_lo < x_hi:
-        raise InvalidArgumentError(
-            f"empty gamma range: min {gmin} does not lie below max {gmax}"
-        )
-    samples = []
-    for i in range(steps):
-        t = i / (steps - 1)
-        x = x_lo * (1.0 - t) + x_hi * t
-        if x <= -half_pi:
-            gamma = -math.inf
-        elif x >= half_pi:
-            gamma = math.inf
-        else:
-            gamma = math.tan(x) * 2.0 / length
-        samples.append((x, gamma))
-    return samples
-
-
-def cmd_spectrum(config: RunConfig) -> str:
+def cmd_spectrum(config: RunConfig):
     params = config.params
     m, L = params["mass"], params["length"]
+    box1d.BoxSpec(m=m, L=L, gamma=0.0)  # reject a bad m or L before sampling divides by L
     raw = params["raw_units"]
     scale = 1.0 if raw else 2.0 * m * L * L / math.pi**2
-    samples = _spectrum_gammas(L, params)
-
-    def solve(sample):
-        x, gamma = sample
+    rows, doc_rows = [], []
+    for x, gamma in _arctan_samples(params, "gamma", L / 2.0):
         states = box1d.solve_spectrum(box1d.BoxSpec(m=m, L=L, gamma=gamma), _SPECTRUM_LEVELS)
-        return [state.energy * scale for state in states]
-
-    tables = _sweep(solve, samples)
-    energy_names = [f"e{n}" for n in range(_SPECTRUM_LEVELS)]
-    if params["format"] == "csv":
-        first = "gamma" if raw else "arctan_half_gamma_L"
-        rows = []
-        for (x, gamma), energies in zip(samples, tables):
-            rows.append([gamma if raw else x, *energies])
-        return _csv([first, *energy_names], rows)
-    return _json(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "spectrum",
-            "mass": m,
-            "length": L,
-            "units": "raw" if raw else "scaled_2mL2_over_pi2",
-            "rows": [
-                {"arctan_half_gamma_L": x, "gamma": gamma, "energies": energies}
-                for (x, gamma), energies in zip(samples, tables)
-            ],
-        }
-    )
+        energies = [state.energy * scale for state in states]
+        rows.append([gamma if raw else x, *energies])
+        doc_rows.append({"arctan_half_gamma_L": x, "gamma": gamma, "energies": energies})
+    header = ["gamma" if raw else "arctan_half_gamma_L"]
+    header += [f"e{n}" for n in range(_SPECTRUM_LEVELS)]
+    doc = {
+        "mass": m,
+        "length": L,
+        "units": "raw" if raw else "scaled_2mL2_over_pi2",
+        "rows": doc_rows,
+    }
+    return header, rows, doc
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +211,7 @@ def _dot_grid(params: dict):
     raise InvalidArgumentError(f"unknown shape {shape!r}")
 
 
-def cmd_dot(config: RunConfig) -> str:
+def cmd_dot(config: RunConfig):
     params = config.params
     grid, described = _dot_grid(params)
     gamma, m, count = params["gamma"], params["mass"], params["count"]
@@ -243,48 +219,30 @@ def cmd_dot(config: RunConfig) -> str:
     ham = qdot_fd.build_hamiltonian(grid, field, m)
     energies, vectors = qdot_fd.solve_lowest(ham, count)
 
-    levels = []
+    rows = []
     for n in range(count):
         mom = qdot_fd.moments(grid, field, vectors[:, n])
         rep = qdot_fd.uncertainty_general(mom, grid.d)
-        flow = None
+        lhs = rhs = None
         if math.isfinite(gamma):
             try:
                 lhs, rhs = qdot_fd.spectral_flow_check(grid, gamma, m, level=n)
-                flow = {"lhs": lhs, "rhs": rhs}
             except DegenerateStateError:
-                flow = None
-        levels.append(
-            {
-                "n": n,
-                "energy": float(energies[n]),
-                "slack_general": rep.slack_general,
-                "slack_nonhermitean": rep.slack_nonhermitean,
-                "flow": flow,
-            }
-        )
+                pass
+        rows.append([n, float(energies[n]), rep.slack_general, rep.slack_nonhermitean, lhs, rhs])
 
-    if params["format"] == "csv":
-        rows = []
-        for lev in levels:
-            flow = lev["flow"]
-            rows.append(
-                [
-                    lev["n"],
-                    lev["energy"],
-                    lev["slack_general"],
-                    lev["slack_nonhermitean"],
-                    None if flow is None else flow["lhs"],
-                    None if flow is None else flow["rhs"],
-                ]
-            )
-        return _csv(
-            ["n", "energy", "slack_general", "slack_nonhermitean", "flow_lhs", "flow_rhs"],
-            rows,
-        )
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "dot",
+    header = ["n", "energy", "slack_general", "slack_nonhermitean", "flow_lhs", "flow_rhs"]
+    levels = [
+        {
+            "n": n,
+            "energy": energy,
+            "slack_general": general,
+            "slack_nonhermitean": nonhermitean,
+            "flow": None if lhs is None else {"lhs": lhs, "rhs": rhs},
+        }
+        for n, energy, general, nonhermitean, lhs, rhs in rows
+    ]
+    doc = {
         **described,
         "gamma": gamma,
         "mass": m,
@@ -292,14 +250,14 @@ def cmd_dot(config: RunConfig) -> str:
         "spacing": grid.h,
         "levels": levels,
     }
-    return _json(report)
+    return header, rows, doc
 
 
 # ---------------------------------------------------------------------------
 # scatter
 
 
-def cmd_scatter(config: RunConfig) -> str:
+def cmd_scatter(config: RunConfig):
     params = config.params
     gamma = params["gamma"]
     k_min, k_max, steps = params["k_min"], params["k_max"], params["k_steps"]
@@ -313,28 +271,18 @@ def cmd_scatter(config: RunConfig) -> str:
         if not k_min < k_max:
             raise InvalidArgumentError(f"empty wavenumber range [{k_min}, {k_max}]")
         ks = [k_min + (k_max - k_min) * i / (steps - 1) for i in range(steps)]
-    results = _sweep(lambda k: wall_models.reflection(k, gamma), ks)
-    if params["format"] == "csv":
-        rows = [[r.k, r.delta, r.R.real, r.R.imag] for r in results]
-        return _csv(["k", "phase_shift", "re_R", "im_R"], rows)
-    return _json(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "scatter",
-            "gamma": gamma,
-            "rows": [
-                {"k": r.k, "phase_shift": r.delta, "re_R": r.R.real, "im_R": r.R.imag}
-                for r in results
-            ],
-        }
-    )
+    rows = []
+    for k in ks:
+        r = wall_models.reflection(k, gamma)
+        rows.append([r.k, r.delta, r.R.real, r.R.imag])
+    return ["k", "phase_shift", "re_R", "im_R"], rows, {"gamma": gamma, "rows": _KEYED_ROWS}
 
 
 # ---------------------------------------------------------------------------
 # wall
 
 
-def cmd_wall(config: RunConfig) -> str:
+def cmd_wall(config: RunConfig):
     params = config.params
     gamma, m = params["gamma"], params["mass"]
     try:
@@ -349,38 +297,17 @@ def cmd_wall(config: RunConfig) -> str:
     for eps in widths:
         well = wall_models.square_well_parameters(gamma, eps, m)
         eff = wall_models.effective_gamma(well, m)
-        rows.append(
-            {
-                "epsilon": eps,
-                "well_depth": well.V0,
-                "well_wavenumber": well.q,
-                "effective_gamma": eff,
-                "error": eff - gamma,
-            }
-        )
-    if params["format"] == "csv":
-        return _csv(
-            ["epsilon", "well_depth", "well_wavenumber", "effective_gamma", "error"],
-            [[r["epsilon"], r["well_depth"], r["well_wavenumber"], r["effective_gamma"], r["error"]] for r in rows],
-        )
-    return _json(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "wall",
-            "gamma": gamma,
-            "mass": m,
-            "rows": rows,
-        }
-    )
+        rows.append([eps, well.V0, well.q, eff, eff - gamma])
+    header = ["epsilon", "well_depth", "well_wavenumber", "effective_gamma", "error"]
+    return header, rows, {"gamma": gamma, "mass": m, "rows": _KEYED_ROWS}
 
 
 # ---------------------------------------------------------------------------
 # hetero
 
 
-def cmd_hetero(config: RunConfig) -> str:
-    params = config.params
-    path = params["matrix"]
+def cmd_hetero(config: RunConfig):
+    path = config.params["matrix"]
     entries = hetero.parse_interface_file(path)
     residuals = [
         {"identity": name, "residual": abs(value)}
@@ -391,99 +318,48 @@ def cmd_hetero(config: RunConfig) -> str:
         verdict, reason, theta = "accepted", None, matrix.theta
     except LabError as exc:
         verdict, reason, theta = "rejected", str(exc), None
-    if params["format"] == "csv":
-        rows = [["verdict", verdict], ["theta", None if theta is None else theta]]
-        rows += [[r["identity"], r["residual"]] for r in residuals]
-        return _csv(["name", "value"], rows)
-    return _json(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "hetero",
-            "file": str(path),
-            "verdict": verdict,
-            "reason": reason,
-            "theta": theta,
-            "residuals": residuals,
-        }
-    )
+    rows = [["verdict", verdict], ["theta", theta]]
+    rows += [[r["identity"], r["residual"]] for r in residuals]
+    doc = {
+        "file": str(path),
+        "verdict": verdict,
+        "reason": reason,
+        "theta": theta,
+        "residuals": residuals,
+    }
+    return ["name", "value"], rows, doc
 
 
 # ---------------------------------------------------------------------------
 # dirac
 
 
-def _eta_samples(params: dict):
-    if params.get("eta") is not None:
-        return [params["eta"]]
-    steps = params["eta_steps"]
-    if steps < 2:
-        raise InvalidArgumentError(f"an eta sweep needs at least 2 steps, got {steps}")
-    half_pi = math.pi / 2.0
-    emin, emax = params["eta_min"], params["eta_max"]
-    x_lo = -half_pi if emin is None else math.atan(emin)
-    x_hi = half_pi if emax is None else math.atan(emax)
-    if not x_lo < x_hi:
-        raise InvalidArgumentError(f"empty eta range: min {emin} does not lie below max {emax}")
-    etas = []
-    for i in range(steps):
-        t = i / (steps - 1)
-        x = x_lo * (1.0 - t) + x_hi * t
-        if x <= -half_pi:
-            etas.append(-math.inf)
-        elif x >= half_pi:
-            etas.append(math.inf)
-        else:
-            etas.append(math.tan(x))
-    return etas
-
-
-def cmd_dirac(config: RunConfig) -> str:
+def cmd_dirac(config: RunConfig):
     params = config.params
     m, c = params["mass"], params["light_speed"]
-    etas = _eta_samples(params)
-
-    def summarize(eta):
+    rows = []
+    for _, eta in _arctan_samples(params, "eta", 1.0):
         wall = dirac_wall.EtaWall(eta, m=m, c=c)
         at_zero = dirac_wall.dispersion_2p1(wall, 0.0)
         at_one = dirac_wall.dispersion_2p1(wall, 1.0)
         slope = at_one.decay_rate - at_zero.decay_rate
-        if slope > 0.0:
+        if slope > 0.0 or slope < 0.0:
             threshold = -at_zero.decay_rate / slope / (m * c)
-            side = "above"
-        elif slope < 0.0:
-            threshold = -at_zero.decay_rate / slope / (m * c)
-            side = "below"
+            side = "above" if slope > 0.0 else "below"
         elif at_zero.decay_rate > 0.0:
             threshold, side = -math.inf, "all"
         else:
             threshold, side = math.inf, "none"
-        return {
-            "eta": eta,
-            "speed_over_c": at_zero.speed / c,
-            "chemical_potential_over_mc2": at_zero.chemical_potential / (m * c * c),
-            "threshold_momentum_over_mc": threshold,
-            "normalizable_side": side,
-        }
-
-    rows = _sweep(summarize, etas)
-    keys = [
+        speed, potential = at_zero.speed / c, at_zero.chemical_potential / (m * c * c)
+        rows.append([eta, speed, potential, threshold, side])
+    header = [
         "eta",
         "speed_over_c",
         "chemical_potential_over_mc2",
         "threshold_momentum_over_mc",
         "normalizable_side",
     ]
-    if params["format"] == "csv":
-        return _csv(keys, [[row[k] for k in keys] for row in rows])
-    return _json(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "dirac",
-            "mass": m,
-            "light_speed": c,
-            "rows": rows,
-        }
-    )
+    return header, rows, {"mass": m, "light_speed": c, "rows": _KEYED_ROWS}
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +495,7 @@ def main(argv=None) -> int:
     params = vars(args)
     try:
         config = RunConfig(subcommand=params.pop("subcommand"), params=params)
-        text = _DISPATCH[config.subcommand](config)
+        text = _render(config, *_DISPATCH[config.subcommand](config))
     except GridIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -301,6 +301,8 @@ def rect_grid(Lx: float, Ly: float, n: int) -> DomainGrid:
 
 def disk_grid(radius: float, n: int) -> DomainGrid:
     """Rasterized disk of the given radius, n cells across (h = 2 radius/n)."""
+    if n < 1:
+        raise InvalidArgumentError(f"need at least one cell, got {n}")
     h = 2.0 * radius / n
     centers = -radius + (np.arange(n) + 0.5) * h
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
@@ -309,6 +311,8 @@ def disk_grid(radius: float, n: int) -> DomainGrid:
 
 def annulus_grid(r_inner: float, r_outer: float, n: int) -> DomainGrid:
     """Rasterized annulus r_inner < r < r_outer, n cells across the outer box."""
+    if n < 1:
+        raise InvalidArgumentError(f"need at least one cell, got {n}")
     if not 0 < r_inner < r_outer:
         raise InvalidArgumentError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
     h = 2.0 * r_outer / n
@@ -609,15 +613,15 @@ def spectral_flow_check(
         raise InvalidArgumentError("spectral flow needs a finite uniform gamma")
     if h_gamma <= 0:
         raise InvalidArgumentError(f"step must be positive, got {h_gamma}")
-    count = level + 2
+    if not 0 <= level < grid.n_cells:
+        raise InvalidArgumentError(f"level must be in [0, {grid.n_cells - 1}], got {level}")
+    # the level and the one above it, when the grid has one
+    count = min(level + 2, grid.n_cells)
     ham = build_hamiltonian(grid, RobinField.constant(gamma), m, V)
     w, v = solve_lowest(ham, count)
     gap_tol = 1e-8 * max(1.0, abs(w[level]))
-    neighbors = []
-    if level > 0:
-        neighbors.append(abs(w[level] - w[level - 1]))
-    neighbors.append(abs(w[level + 1] - w[level]))
-    if min(neighbors) < gap_tol:
+    gaps = [abs(w[j] - w[level]) for j in (level - 1, level + 1) if 0 <= j < count]
+    if gaps and min(gaps) < gap_tol:
         raise DegenerateStateError(
             f"level {level} is degenerate within {gap_tol:.2e}; flow per level undefined"
         )

@@ -245,6 +245,28 @@ def test_invalid_arguments_rejected():
         BoxSpec(1.0, 1.0, float("nan"))
     with pytest.raises(InvalidArgumentError):
         solve_spectrum(BoxSpec(1.0, 1.0, 0.0), 0)
+    # wall-bound energy -gamma^2/2m beyond double precision
+    with pytest.raises(InvalidArgumentError):
+        solve_spectrum(BoxSpec(1.0, 1.0, -1e200), 3)
+
+
+@pytest.mark.parametrize("count", [5, 50])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_huge_gamma_reaches_the_dirichlet_levels(sign, count):
+    # Oscillatory roots snap to the Dirichlet wall from |gamma| L = 2^52 on.
+    # Below it, brentq's rtol of 8.9e-16 on k lets a level dip by up to
+    # 2e-15 relative between neighbouring gammas.
+    dirichlet = [s.energy for s in solve_spectrum(BoxSpec(1.0, 1.0, INF), count)]
+    prev = None
+    for gamma in np.sort(sign * np.logspace(13, 154, 400)):
+        states = solve_spectrum(BoxSpec(1.0, 1.0, float(gamma)), count)
+        energies = [s.energy for s in states]
+        if prev is not None:
+            assert all(b >= a - 2e-15 * abs(a) for a, b in zip(prev, energies))
+        prev = energies
+        if abs(gamma) >= 2.0**52:
+            osc = [s.energy for s in states if s.branch == "oscillatory"]
+            assert osc == pytest.approx(dirichlet[: len(osc)], rel=2e-15)
 
 
 @settings(max_examples=25, deadline=None)

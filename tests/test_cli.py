@@ -335,27 +335,6 @@ def test_dirac_json_encodes_infinities(capsys):
 # cross-cutting behavior
 
 
-def test_thread_cap_does_not_change_bytes(tmp_path, monkeypatch, capsys):
-    out_serial = tmp_path / "serial.csv"
-    out_pool = tmp_path / "pool.csv"
-    args = ["spectrum", "--gamma-steps", "25"]
-    monkeypatch.setenv("SAE_LAB_THREADS", "1")
-    assert cli.main(args + ["--output", str(out_serial)]) == 0
-    monkeypatch.setenv("SAE_LAB_THREADS", "7")
-    assert cli.main(args + ["--output", str(out_pool)]) == 0
-    capsys.readouterr()
-    assert out_serial.read_bytes() == out_pool.read_bytes()
-
-
-def test_thread_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("SAE_LAB_THREADS", "zebra")
-    rc, _, err = run_cli(["spectrum", "--gamma-steps", "5"], capsys)
-    assert rc == 2
-    monkeypatch.setenv("SAE_LAB_THREADS", "0")
-    rc, _, err = run_cli(["spectrum", "--gamma-steps", "5"], capsys)
-    assert rc == 2
-
-
 def test_unwritable_output_maps_to_exit_3(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     rc, _, err = run_cli(["spectrum", "--gamma", "0", "--output", str(target)], capsys)
@@ -368,3 +347,27 @@ def test_missing_subcommand_is_usage_error(capsys):
         cli.main([])
     assert exc_info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["dot", "--shape", "disk", "--resolution", "0"], 2),
+        (["dot", "--shape", "annulus", "--resolution", "0"], 2),
+        (["spectrum", "--length", "0"], 2),
+        (["spectrum", "--gamma", "2e16"], 0),
+        (["spectrum", "--gamma=-5e16", "--raw-units"], 0),
+        (["spectrum", "--gamma", "1e300", "--format", "json"], 0),
+        (["spectrum", "--gamma=-1e300"], 2),
+        (["dot", "--shape", "interval", "--resolution", "3", "--count", "3"], 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit{value}",
+)
+def test_edge_inputs_end_in_a_clean_exit(args, code, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == code
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: ")
