@@ -217,18 +217,20 @@ def cmd_dot(config: RunConfig):
     gamma, m, count = params["gamma"], params["mass"], params["count"]
     field = qdot_fd.RobinField.constant(gamma)
     ham = qdot_fd.build_hamiltonian(grid, field, m)
-    energies, vectors = qdot_fd.solve_lowest(ham, count)
+    if not 1 <= count <= grid.n_cells:
+        raise InvalidArgumentError(f"count must be in [1, {grid.n_cells}], got {count}")
+    # one level more than printed, so the flow check sees the top level's gap
+    energies, vectors = qdot_fd.solve_lowest(ham, min(count + 1, grid.n_cells))
+    if math.isfinite(gamma):
+        flows = qdot_fd.spectral_flow_check(ham, energies, vectors)
+    else:
+        flows = [None] * len(energies)
 
     rows = []
     for n in range(count):
         mom = qdot_fd.moments(grid, field, vectors[:, n])
         rep = qdot_fd.uncertainty_general(mom, grid.d)
-        lhs = rhs = None
-        if math.isfinite(gamma):
-            try:
-                lhs, rhs = qdot_fd.spectral_flow_check(grid, gamma, m, level=n)
-            except DegenerateStateError:
-                pass
+        lhs, rhs = flows[n] or (None, None)
         rows.append([n, float(energies[n]), rep.slack_general, rep.slack_nonhermitean, lhs, rhs])
 
     header = ["n", "energy", "slack_general", "slack_nonhermitean", "flow_lhs", "flow_rhs"]

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import (
@@ -61,8 +62,6 @@ __all__ = [
     "spectral_flow_check",
     "minimal_packet_gamma",
 ]
-
-_DENSE_CUTOFF = 2048
 
 
 class DomainGrid:
@@ -203,7 +202,8 @@ class RobinField:
 class DiscreteHamiltonian:
     """Assembled sparse symmetric Hamiltonian plus its ingredients.
 
-    Immutable after assembly; safe to share between concurrent solves.
+    Immutable after assembly.  The ingredients let the spectral-flow check
+    rebuild it at a nearby gamma.
     """
 
     matrix: sp.csr_matrix
@@ -283,17 +283,23 @@ class GaussianPacket:
 # grid constructors and file format
 
 
-def interval_grid(L: float, n: int) -> DomainGrid:
-    """n cells covering [-L/2, L/2]."""
+def _check_size(n: int, *lengths: float) -> None:
     if n < 1:
         raise InvalidArgumentError(f"need at least one cell, got {n}")
+    for length in lengths:
+        if not (math.isfinite(length) and length > 0):
+            raise InvalidArgumentError(f"lengths must be positive and finite, got {length}")
+
+
+def interval_grid(L: float, n: int) -> DomainGrid:
+    """n cells covering [-L/2, L/2]."""
+    _check_size(n, L)
     return DomainGrid(np.ones(n, dtype=bool), L / n, origin=np.array([-L / 2.0]))
 
 
 def rect_grid(Lx: float, Ly: float, n: int) -> DomainGrid:
     """Rectangle Lx x Ly with n cells along x (h = Lx/n)."""
-    if n < 1:
-        raise InvalidArgumentError(f"need at least one cell, got {n}")
+    _check_size(n, Lx, Ly)
     h = Lx / n
     ny = max(1, round(Ly / h))
     return DomainGrid(np.ones((n, ny), dtype=bool), h, origin=np.array([-Lx / 2.0, -ny * h / 2.0]))
@@ -301,8 +307,7 @@ def rect_grid(Lx: float, Ly: float, n: int) -> DomainGrid:
 
 def disk_grid(radius: float, n: int) -> DomainGrid:
     """Rasterized disk of the given radius, n cells across (h = 2 radius/n)."""
-    if n < 1:
-        raise InvalidArgumentError(f"need at least one cell, got {n}")
+    _check_size(n, radius)
     h = 2.0 * radius / n
     centers = -radius + (np.arange(n) + 0.5) * h
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
@@ -311,9 +316,8 @@ def disk_grid(radius: float, n: int) -> DomainGrid:
 
 def annulus_grid(r_inner: float, r_outer: float, n: int) -> DomainGrid:
     """Rasterized annulus r_inner < r < r_outer, n cells across the outer box."""
-    if n < 1:
-        raise InvalidArgumentError(f"need at least one cell, got {n}")
-    if not 0 < r_inner < r_outer:
+    _check_size(n, r_inner, r_outer)
+    if not r_inner < r_outer:
         raise InvalidArgumentError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
     h = 2.0 * r_outer / n
     centers = -r_outer + (np.arange(n) + 0.5) * h
@@ -437,16 +441,54 @@ def build_hamiltonian(grid: DomainGrid, field: RobinField, m: float, V=None) -> 
     return DiscreteHamiltonian(matrix, float(m), V_arr, grid, field)
 
 
-def _tridiagonal_bands(A: sp.csr_matrix):
-    return A.diagonal(), A.diagonal(k=1)
+def _lowest_pairs(A: sp.csr_matrix, count: int):
+    """The ``count`` lowest eigenpairs of one connected part, unit l2 vectors.
+
+    Shift-invert Lanczos, or a dense solve for the whole spectrum, which
+    Lanczos cannot return.  One start vector sees the further copies of a
+    multiple level only through rounding, and a tight cluster of levels
+    needs a wide basis to converge.  So the basis holds at least 60
+    vectors, not ARPACK's 20, and the complement of the pairs found is
+    searched again, from a fresh start, until it holds no level below the
+    top one found.
+    """
+    n = A.shape[0]
+    if count == n:
+        return eigh(A.toarray())
+    # shift below the spectrum (Gershgorin), factor once, invert-iterate
+    diag = A.diagonal()
+    row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
+    sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
+    try:
+        lu = splu((A - sigma * sp.identity(n, format="csr")).tocsc())
+        op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        v0 = np.sin(np.arange(1, n + 1))
+        theta, v = eigsh(op, k=count, ncv=min(n, max(2 * count + 1, 60)), which="LM", v0=v0, tol=0)
+
+        def rest(x):  # the part of x outside the pairs found so far
+            return x - v @ (v.T @ x)
+
+        deflated = LinearOperator((n, n), matvec=lambda x: rest(lu.solve(rest(x))), dtype=float)
+        while len(theta) < n - 1:
+            start = rest(np.random.default_rng(len(theta)).standard_normal(n))
+            t, x = eigsh(deflated, k=1, which="LA", v0=start, tol=0)
+            if not t[0] > theta.min():
+                break
+            theta, v = np.append(theta, t), np.column_stack([v, x])
+    except Exception as exc:
+        raise SolverFailureError(f"shift-invert eigensolver failed: {exc}") from None
+    w = 1.0 / theta + sigma
+    order = np.argsort(w)[:count]
+    return w[order], v[:, order]
 
 
 def solve_lowest(ham: DiscreteHamiltonian, count: int):
     """The ``count`` lowest eigenpairs, vectors normalized to sum h^d psi^2 = 1.
 
-    Uses the direct tridiagonal solver in d = 1, a dense subset solver for
-    small matrices, and shift-invert Lanczos (deterministic start vector)
-    otherwise.  Every returned pair is residual-checked.
+    One route per dimension: the direct tridiagonal solver in d = 1, and in
+    d >= 2 shift-invert Lanczos on each connected part of the dot, whose
+    parts (a thin rasterized annulus, say) share eigenvalues exactly that one
+    start vector cannot tell apart.  Every returned pair is residual-checked.
     """
     A = ham.matrix
     n = A.shape[0]
@@ -455,26 +497,15 @@ def solve_lowest(ham: DiscreteHamiltonian, count: int):
     grid = ham.grid
 
     if grid.d == 1:
-        main, off = _tridiagonal_bands(A)
-        w, v = eigh_tridiagonal(main, off, select="i", select_range=(0, count - 1))
-    elif n <= _DENSE_CUTOFF:
-        w, v = eigh(A.toarray(), subset_by_index=[0, count - 1])
+        w, v = eigh_tridiagonal(A.diagonal(), A.diagonal(k=1), select="i", select_range=(0, count - 1))
     else:
-        # shift below the spectrum (Gershgorin), factor once, invert-iterate
-        diag = A.diagonal()
-        row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
-        sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
-        try:
-            lu = splu((A - sigma * sp.identity(n, format="csr")).tocsc())
-            op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-            v0 = np.sin(np.arange(1, n + 1))
-            w_inv, v = eigsh(op, k=count, which="LM", v0=v0, tol=0)
-        except Exception as exc:
-            raise SolverFailureError(f"shift-invert eigensolver failed: {exc}") from None
-        w = 1.0 / w_inv + sigma
-        order = np.argsort(w)
-        w = w[order]
-        v = v[:, order]
+        _, labels = connected_components(A, directed=False)
+        parts = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+        pairs = [_lowest_pairs(A[cells][:, cells], min(count, len(cells))) for cells in parts]
+        found = sorted((e, p, j) for p, (pw, _) in enumerate(pairs) for j, e in enumerate(pw))[:count]
+        w, v = np.array([e for e, _, _ in found]), np.zeros((n, count))
+        for col, (_, p, j) in enumerate(found):
+            v[parts[p], col] = pairs[p][1][:, j]
 
     # fixed sign: largest-magnitude component positive
     for kcol in range(v.shape[1]):
@@ -595,48 +626,35 @@ def uncertainty_general(mom: Moments, d: int) -> UncertaintyReport:
     )
 
 
-def spectral_flow_check(
-    grid: DomainGrid,
-    gamma: float,
-    m: float,
-    V=None,
-    level: int = 0,
-    h_gamma: float = 1e-5,
-):
-    """Compare dE/dgamma of one level against the boundary-density formula.
+def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray, h_gamma: float = 1e-5):
+    """Compare dE/dgamma of every solved level against the boundary-density formula.
 
-    Returns (lhs, rhs): lhs the centered difference of the eigenvalue under
-    gamma -> gamma +- h_gamma, rhs = sum_f h^(d-1) rho_f / 2m at the middle
-    gamma.  The level must be nondegenerate, or the derivative is undefined.
+    ``w, v = solve_lowest(ham, count)`` for a finite uniform gamma.  Returns
+    one (lhs, rhs) per level: lhs the centered difference of the eigenvalue
+    under gamma -> gamma +- h_gamma (one solve each way for all levels), rhs
+    = sum_f h^(d-1) rho_f / 2m from the vectors in hand (Hellmann-Feynman).
+    A level within 1e-8 max(1, |E|) of a solved neighbor is degenerate, its
+    derivative undefined: it gets None.  The top level has no solved
+    neighbor above, so solve one level more than needed, unless ``count``
+    is the whole spectrum.
     """
-    if not math.isfinite(gamma):
+    gamma, grid, m = ham.field.uniform, ham.grid, ham.m
+    if gamma is None or not math.isfinite(gamma):
         raise InvalidArgumentError("spectral flow needs a finite uniform gamma")
     if h_gamma <= 0:
         raise InvalidArgumentError(f"step must be positive, got {h_gamma}")
-    if not 0 <= level < grid.n_cells:
-        raise InvalidArgumentError(f"level must be in [0, {grid.n_cells - 1}], got {level}")
-    # the level and the one above it, when the grid has one
-    count = min(level + 2, grid.n_cells)
-    ham = build_hamiltonian(grid, RobinField.constant(gamma), m, V)
-    w, v = solve_lowest(ham, count)
-    gap_tol = 1e-8 * max(1.0, abs(w[level]))
-    gaps = [abs(w[j] - w[level]) for j in (level - 1, level + 1) if 0 <= j < count]
-    if gaps and min(gaps) < gap_tol:
-        raise DegenerateStateError(
-            f"level {level} is degenerate within {gap_tol:.2e}; flow per level undefined"
-        )
-    psi = v[:, level]
-    rho = psi**2
-    hd1 = grid.h ** (grid.d - 1)
-    rhs = float(hd1 * np.sum(rho[grid.boundary_faces[:, 0]])) / (2.0 * m)
-
-    lhs_vals = []
-    for g in (gamma + h_gamma, gamma - h_gamma):
-        ham_g = build_hamiltonian(grid, RobinField.constant(g), m, V)
-        w_g, _ = solve_lowest(ham_g, count)
-        lhs_vals.append(w_g[level])
-    lhs = (lhs_vals[0] - lhs_vals[1]) / (2.0 * h_gamma)
-    return lhs, rhs
+    w_up, w_down = (
+        solve_lowest(build_hamiltonian(grid, RobinField.constant(g), m, ham.V), len(w))[0]
+        for g in (gamma + h_gamma, gamma - h_gamma)
+    )
+    lhs = (w_up - w_down) / (2.0 * h_gamma)
+    rhs = grid.h ** (grid.d - 1) * np.sum(v[grid.boundary_faces[:, 0]] ** 2, axis=0) / (2.0 * m)
+    gap = np.abs(np.diff(w))
+    nearest = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
+    return [
+        None if near < 1e-8 * max(1.0, abs(e)) else (float(a), float(b))
+        for e, near, a, b in zip(w, nearest, lhs, rhs)
+    ]
 
 
 def minimal_packet_gamma(grid: DomainGrid, packet: GaussianPacket):

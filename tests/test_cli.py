@@ -127,8 +127,12 @@ def test_dot_disk_neumann_report(capsys):
     flow = levels[0]["flow"]
     assert flow["lhs"] == pytest.approx(flow["rhs"], rel=1e-4)
     # the first excited disk level is twofold degenerate, so its flow
-    # derivative is undefined and reported as missing
+    # derivative is undefined and reported as missing, also when its partner
+    # is not printed
     assert levels[1]["flow"] is None
+    rc, out, _ = run_cli(["dot", "--shape", "disk", "--resolution", "32", "--gamma", "0", "--count", "2"], capsys)
+    assert rc == 0
+    assert json.loads(out)["levels"][1]["flow"] is None
 
 
 def test_dot_interval_matches_spectrum_endpoint(capsys):
@@ -172,6 +176,22 @@ def test_dot_io_and_usage_failures(tmp_path, capsys):
         ["dot", "--shape", "interval", "--resolution", "10", "--count", "100"], capsys
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("gamma, solves", [("1", 3), ("inf", 1)])
+def test_dot_solves_once_per_gamma(gamma, solves, monkeypatch, capsys):
+    # one solve at gamma, plus one at each of gamma +- step for the flow check
+    calls = []
+    real = qdot_fd.solve_lowest
+
+    def counting(ham, count):
+        calls.append(count)
+        return real(ham, count)
+
+    monkeypatch.setattr(qdot_fd, "solve_lowest", counting)
+    rc, _, _ = run_cli(["dot", "--shape", "disk", "--resolution", "64", "--gamma", gamma], capsys)
+    assert rc == 0
+    assert len(calls) == solves
 
 
 def test_solver_failure_maps_to_exit_4(monkeypatch, capsys):
@@ -360,9 +380,16 @@ def test_missing_subcommand_is_usage_error(capsys):
         (["spectrum", "--gamma", "1e300", "--format", "json"], 0),
         (["spectrum", "--gamma=-1e300"], 2),
         (["dot", "--shape", "interval", "--resolution", "3", "--count", "3"], 0),
+        (["dot", "--shape", "rect", "--resolution", "8", "--length", "inf"], 2),
+        (["dot", "--shape", "disk", "--resolution", "8", "--length", "inf"], 2),
+        (["dot", "--shape", "rect", "--resolution", "2", "--count", "4"], 0),
+        (["dot", "--shape", "rect", "--resolution", "2", "--count", "3"], 0),
+        # levels 1-2 of this annulus are a degenerate pair that Lanczos can cut in two
+        (["dot", "--shape", "annulus", "--resolution", "64", "--length", "1.3297881602528314", "--gamma", "5"], 0),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit{value}",
 )
+@pytest.mark.filterwarnings("error")  # a library warning would reach stderr outside pytest
 def test_edge_inputs_end_in_a_clean_exit(args, code, capsys):
     rc, out, err = run_cli(args, capsys)
     assert rc == code

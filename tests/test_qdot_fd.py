@@ -16,7 +16,6 @@ from scipy.linalg import eigh
 
 from sae_lab.box1d import BoxSpec, solve_spectrum
 from sae_lab.errors import (
-    DegenerateStateError,
     GridIOError,
     InvalidArgumentError,
 )
@@ -188,16 +187,24 @@ def test_monotone_in_gamma_no_tolerance():
 def test_spectral_flow_identity_interval():
     grid = interval_grid(1.0, 2000)
     for gamma in (-1.0, 0.5, 3.0):
+        ham = build_hamiltonian(grid, RobinField.constant(gamma), 1.0)
+        w, v = solve_lowest(ham, 5)
+        flows = spectral_flow_check(ham, w, v, h_gamma=1e-3)
         for level in range(4):
-            lhs, rhs = spectral_flow_check(grid, gamma, 1.0, level=level, h_gamma=1e-3)
+            lhs, rhs = flows[level]
             assert abs(lhs - rhs) / abs(lhs) <= 1e-4
 
 
 def test_spectral_flow_degenerate_level_rejected():
     # the disk's first excited level is doubly degenerate by symmetry
     grid = disk_grid(0.5, 48)
-    with pytest.raises(DegenerateStateError):
-        spectral_flow_check(grid, 0.0, 1.0, level=1)
+    ham = build_hamiltonian(grid, RobinField.constant(0.0), 1.0)
+    w, v = solve_lowest(ham, 4)
+    flows = spectral_flow_check(ham, w, v)
+    assert flows[0] is not None
+    assert flows[1] is None and flows[2] is None
+    with pytest.raises(InvalidArgumentError):
+        spectral_flow_check(build_hamiltonian(grid, RobinField.dirichlet(), 1.0), w, v)
 
 
 def test_gaussian_packet_saturation_first_order():
@@ -284,16 +291,29 @@ def test_disk_packet_2d():
 
 
 def test_iterative_path_matches_dense_oracle():
-    grid = disk_grid(0.5, 64)  # ~3200 cells: above the dense cutoff
-    assert grid.n_cells > 2048
-    ham = build_hamiltonian(grid, RobinField.constant(1.5), 1.0)
-    w, v = solve_lowest(ham, 5)
-    w_dense = eigh(ham.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 4])
-    assert np.allclose(w, w_dense, rtol=1e-9, atol=1e-9)
-    # determinism: a second run is bit-identical
-    w2, v2 = solve_lowest(ham, 5)
-    assert np.array_equal(w, w2)
-    assert np.array_equal(v, v2)
+    cases = [
+        # small grids (~200 and 400 cells) and a large one (~3200 cells)
+        (disk_grid(0.5, 16), 1.5, 5),
+        (rect_grid(1.0, 1.0, 20), 1.5, 5),
+        (disk_grid(0.5, 64), 1.5, 5),
+        # thin annuli with multiple levels: 16 disconnected parts whose
+        # ground states coincide, and rings of weakly joined blobs whose
+        # levels come in tight quartets.  Without the split into connected
+        # parts, the wide Lanczos basis and the deflated search respectively,
+        # these three go wrong.
+        (annulus_grid(0.45, 0.5, 16), 0.0, 9),
+        (annulus_grid(0.46, 0.5, 45), math.inf, 2),
+        (annulus_grid(0.47, 0.5, 47), math.inf, 4),
+    ]
+    for grid, gamma, count in cases:
+        ham = build_hamiltonian(grid, RobinField.constant(gamma), 1.0)
+        w, v = solve_lowest(ham, count)
+        w_dense = eigh(ham.matrix.toarray(), eigvals_only=True, subset_by_index=[0, count - 1])
+        assert np.allclose(w, w_dense, rtol=1e-9, atol=1e-9)
+        # determinism: a second run is bit-identical
+        w2, v2 = solve_lowest(ham, count)
+        assert np.array_equal(w, w2)
+        assert np.array_equal(v, v2)
 
 
 def test_grid_file_roundtrip(tmp_path):
