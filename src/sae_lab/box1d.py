@@ -10,7 +10,8 @@ with the same real parameter ``gamma`` on each side (n is the outward normal).
 sufficiently negative ``gamma`` binds states to the walls with negative energy.
 
 Eigenstates come in four families, all handled here in closed form plus a
-bracketed one-dimensional root search:
+bracketed one-dimensional root search; their norms, <x^2> and wall densities
+are elementary integrals, taken in closed form too:
 
 * oscillatory even  ``cos(k x)``   with gamma*cos(kL/2) = k*sin(kL/2)
 * oscillatory odd   ``sin(k x)``   with gamma*sin(kL/2) = -k*cos(kL/2)
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import DomainError, InvalidArgumentError, SolverFailureError
@@ -50,6 +50,9 @@ _ZERO_MODE_SNAP = 1e-12
 # From |gamma| L = 2^52 on, the oscillatory roots are taken at the Dirichlet
 # wall (see _oscillatory_roots).
 _DIRICHLET_SNAP = 2.0**52
+# Below this u = wL the state moments come from a power series (see
+# _density_integrals), above it from the closed forms.
+_SERIES_CUTOFF = 2.0
 
 _BRENTQ_OPTS = dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
@@ -150,34 +153,52 @@ def _logsinh(t: np.ndarray) -> np.ndarray:
         return t + np.log1p(-np.exp(-2.0 * t)) - math.log(2.0)
 
 
-def _osc_norm(L: float, k: float, parity: str) -> float:
-    """Normalization amplitude for cos(kx) / sin(kx) on [-L/2, L/2]."""
-    t = k * L
-    if parity == "even":
-        norm = L / 2.0 + math.sin(t) / (2.0 * k)
-    else:
-        if t < 1e-3:
-            # 1 - sin(t)/t = t^2/6 - t^4/120 + ...; avoid the cancellation
-            norm = (L / 2.0) * (t * t / 6.0) * (1.0 - t * t / 20.0)
-        else:
-            norm = L / 2.0 - math.sin(t) / (2.0 * k)
-    return 1.0 / math.sqrt(norm)
+def _density_integrals(L: float, branch: str, parity: str, w: float) -> tuple[float, float, float]:
+    """log of the integral of f^2, <x^2> and the wall density f(L/2)^2 / int f^2.
 
-
-def _evan_log_norm(L: float, q: float, parity: str) -> float:
-    """log(A) for cosh(qx) / sinh(qx) on [-L/2, L/2], overflow-safe."""
-    t = q * L
-    if parity == "even":
-        log_norm = np.logaddexp(math.log(L / 2.0), _logsinh(t) - math.log(2.0 * q))
+    f is cos, sin, cosh or sinh(w x), or 1 and x for the zero modes, on
+    [-a, a] with a = L/2.  Writing f^2 = (1 +- cos 2wx)/2 or (cosh 2wx +- 1)/2
+    and K_j(u) = int_0^1 s^(2j) cos(us) ds (cosh for evanescent states), with
+    u = wL, the integrals of f^2 and x^2 f^2 are a (1 +- K_0) and
+    a^3 (1/3 +- K_1), or a (K_0 +- 1) and a^3 (K_1 +- 1/3).  <x> = 0 by parity.
+    """
+    if branch == "zero-mode":
+        if parity == "even":
+            return math.log(L), L * L / 12.0, 1.0 / L
+        return 3.0 * math.log(L) - math.log(12.0), 0.15 * L * L, 3.0 / L
+    a = 0.5 * L
+    sign = 1.0 if parity == "even" else -1.0
+    hyperbolic = branch == "evanescent"
+    u = w * L
+    log_scale = 0.0
+    if hyperbolic and u >= _SERIES_CUTOFF:
+        # sinh u, cosh u, 1 and f(a)^2 scaled by e^{-u}; the nested divisions
+        # never form u^3, which overflows for the largest |gamma|
+        log_scale = u
+        sn, cs, one = -0.5 * math.expm1(-2.0 * u), 0.5 + 0.5 * math.exp(-2.0 * u), math.exp(-u)
+        m0 = sn / u + sign * one
+        m2 = (sn - 2.0 * (cs - sn / u) / u) / u + sign * one / 3.0
+        wall = 0.25 * (1.0 + sign * one) ** 2
     else:
-        if t < 1e-3:
-            # sinh(t)/t - 1 = t^2/6 + t^4/120 + ...
-            log_norm = math.log((L / 2.0) * (t * t / 6.0) * (1.0 + t * t / 20.0))
-        elif t < 350.0:
-            log_norm = math.log(math.sinh(t) / (2.0 * q) - L / 2.0)
+        even_odd = (math.cosh, math.sinh) if hyperbolic else (math.cos, math.sin)
+        wall = even_odd[sign < 0](0.5 * u) ** 2
+        if u < _SERIES_CUTOFF:
+            # d_j = K_j(u) - K_j(0) = sum_{n >= 1} (-+u^2)^n / ((2n)! (2n + 2j + 1)),
+            # so the odd states near a zero-mode crossing suffer no cancellation;
+            # twelve terms reach double precision below the cutoff
+            step = u * u if hyperbolic else -u * u
+            term, d0, d1 = 1.0, 0.0, 0.0
+            for n in range(1, 13):
+                term *= step / ((2 * n - 1) * (2 * n))
+                d0 += term / (2 * n + 1)
+                d1 += term / (2 * n + 3)
+            slope = 1.0 if hyperbolic else sign
+            m0, m2 = (1.0 + sign) + slope * d0, (1.0 + sign) / 3.0 + slope * d1
         else:
-            log_norm = _logsinh(t) - math.log(2.0 * q)
-    return -0.5 * float(log_norm)
+            sn, cs = math.sin(u), math.cos(u)
+            m0 = 1.0 + sign * sn / u
+            m2 = 1.0 / 3.0 + sign * (sn + 2.0 * (cs - sn / u) / u) / u
+    return log_scale + math.log(a * m0), a * a * (m2 / m0), wall / (a * m0)
 
 
 def _even_osc_f(k: float, L: float, gamma: float) -> float:
@@ -206,6 +227,12 @@ def _oscillatory_roots(spec: BoxSpec, n_each: int) -> list[tuple[float, str]]:
     of k, about 2/(|gamma| L) relative, is then at most 4.4e-16, while gamma
     times the rounding error of cos or sin at a bracket end can outweigh k and
     break the bracket.
+
+    The brackets of the two parities interlace, so n_each roots of each parity
+    are the lowest 2 n_each oscillatory levels (2 n_each - 1 once the odd j = 0
+    root has turned evanescent), and the at most two evanescent levels lie
+    below them all.  So n_each = (count + 1) // 2 + 1 yields at least count + 1
+    of the lowest oscillatory levels, enough for the lowest count levels.
     """
     L, gamma = spec.L, spec.gamma
     roots: list[tuple[float, str]] = []
@@ -287,15 +314,8 @@ def _energy(spec: BoxSpec, branch: str, wavenumber: float) -> float:
 
 def _make_state(spec: BoxSpec, index: int, parity: str, branch: str, wavenumber: float) -> Eigenstate1D:
     energy = _energy(spec, branch, wavenumber)
-    if branch == "oscillatory":
-        A = _osc_norm(spec.L, wavenumber, parity)
-        log_norm = math.log(A)
-    elif branch == "evanescent":
-        log_norm = _evan_log_norm(spec.L, wavenumber, parity)
-        A = math.exp(log_norm)
-    else:  # zero-mode
-        A = math.sqrt(1.0 / spec.L) if parity == "even" else math.sqrt(12.0 / spec.L**3)
-        log_norm = math.log(A)
+    log_norm = -0.5 * _density_integrals(spec.L, branch, parity, wavenumber)[0]
+    A = math.exp(log_norm)
     return Eigenstate1D(spec, index, parity, branch, wavenumber, energy, A, log_norm)
 
 
@@ -312,7 +332,7 @@ def solve_spectrum(spec: BoxSpec, count: int) -> list[Eigenstate1D]:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
 
     L = spec.L
-    per_parity = count + 2
+    per_parity = (count + 1) // 2 + 1
     entries: list[tuple[str, str, float]] = []  # (parity, branch, wavenumber)
 
     if spec.dirichlet:
@@ -386,42 +406,20 @@ def eval_wavefunction(state: Eigenstate1D, x):
     return out
 
 
-def _density_moment(state: Eigenstate1D, power: int) -> float:
-    """integral of x^power * |psi|^2, split at 0 to help the quadrature."""
-    half = state.spec.L / 2.0
-
-    def integrand(x: float) -> float:
-        return x**power * eval_wavefunction(state, x) ** 2
-
-    lo, _ = quad(integrand, -half, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    hi, _ = quad(integrand, 0.0, half, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return lo + hi
-
-
 def boundary_observables(state: Eigenstate1D) -> BoundaryObservables1D:
-    """Wall densities and moments of one eigenstate.
+    """Wall densities and moments of one eigenstate, in closed form.
 
     For the Dirichlet walls both densities vanish identically, and the wall
     coefficients a, b, c are returned as exact zeros (the finite-gamma product
     gamma*rho tends to zero in that limit).
     """
     spec = state.spec
-    half = spec.L / 2.0
-    if spec.dirichlet:
-        rho_plus = rho_minus = a = b = c = 0.0
-    else:
-        rho_plus = eval_wavefunction(state, half) ** 2
-        rho_minus = eval_wavefunction(state, -half) ** 2
-        a = half * (rho_plus + rho_minus)
-        b = spec.gamma * (rho_plus + rho_minus)
-        c = rho_plus - rho_minus
-
-    mean_x = _density_moment(state, 1)
-    var_x = _density_moment(state, 2) - mean_x**2
-    # Parity eigenstates are real with equal wall densities, so <p> = 0 exactly.
-    pbar = 0.0
+    _, var_x, rho = _density_integrals(spec.L, state.branch, state.parity, state.wavenumber)
+    rho = 0.0 if spec.dirichlet else rho
+    b = 0.0 if spec.dirichlet else 2.0 * spec.gamma * rho
+    # Parity eigenstates are real with equal wall densities, so c = <x> = <p> = 0 exactly.
     mean_p2 = 2.0 * spec.m * state.energy
-    return BoundaryObservables1D(a, b, c, rho_plus, rho_minus, pbar, mean_x, var_x, mean_p2)
+    return BoundaryObservables1D(spec.L * rho, b, 0.0, rho, rho, 0.0, 0.0, var_x, mean_p2)
 
 
 def uncertainty_report_1d(state: Eigenstate1D) -> UncertaintyReport1D:
@@ -441,12 +439,8 @@ def uncertainty_report_1d(state: Eigenstate1D) -> UncertaintyReport1D:
 def spectral_flow(state: Eigenstate1D) -> float:
     """dE/d(gamma) of one level: (rho_+ + rho_-) / 2m.
 
-    Zero for Dirichlet walls, where the boundary densities vanish.
+    The wall densities come from ``boundary_observables``; both are zero for
+    Dirichlet walls.
     """
-    spec = state.spec
-    if spec.dirichlet:
-        return 0.0
-    half = spec.L / 2.0
-    rho_plus = eval_wavefunction(state, half) ** 2
-    rho_minus = eval_wavefunction(state, -half) ** 2
-    return (rho_plus + rho_minus) / (2.0 * spec.m)
+    obs = boundary_observables(state)
+    return (obs.rho_plus + obs.rho_minus) / (2.0 * state.spec.m)

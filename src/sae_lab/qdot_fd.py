@@ -301,6 +301,8 @@ def rect_grid(Lx: float, Ly: float, n: int) -> DomainGrid:
     """Rectangle Lx x Ly with n cells along x (h = Lx/n)."""
     _check_size(n, Lx, Ly)
     h = Lx / n
+    if not n * (Ly / h) <= np.iinfo(np.intp).max:
+        raise InvalidArgumentError(f"a {Lx} x {Ly} rectangle with {n} cells along x has too many cells")
     ny = max(1, round(Ly / h))
     return DomainGrid(np.ones((n, ny), dtype=bool), h, origin=np.array([-Lx / 2.0, -ny * h / 2.0]))
 

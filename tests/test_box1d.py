@@ -7,12 +7,15 @@ moments); the package itself uses scipy.  Tolerances reflect double precision.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from sae_lab import box1d
 from sae_lab.box1d import (
+    _SERIES_CUTOFF,
     BoxSpec,
     boundary_observables,
     eval_wavefunction,
@@ -120,18 +123,75 @@ def test_frozen_normalization_and_boundary_density():
     assert s0.norm == pytest.approx(1.072479086567099082207, rel=1e-12)
     assert eval_wavefunction(s0, 0.5) ** 2 == pytest.approx(0.7253170866856988105514, rel=1e-12)
     obs = boundary_observables(s0)
-    assert obs.var_x == pytest.approx(0.07369375226669607933004, rel=1e-9)
+    assert obs.var_x == pytest.approx(0.07369375226669607933004, rel=1e-12)
 
     e0 = solve_spectrum(BoxSpec(1, 1, -4), 1)[0]
     assert e0.norm == pytest.approx(0.484231485117583984922, rel=1e-12)
     assert eval_wavefunction(e0, 0.5) ** 2 == pytest.approx(3.765519868820819039724, rel=1e-12)
-    assert boundary_observables(e0).var_x == pytest.approx(0.1494190497340592207849, rel=1e-9)
+    assert boundary_observables(e0).var_x == pytest.approx(0.1494190497340592207849, rel=1e-12)
 
     o1 = solve_spectrum(BoxSpec(1, 1, -10), 2)[1]
     assert o1.parity == "odd" and o1.branch == "evanescent"
     assert o1.wavenumber == pytest.approx(9.999091217152325509385, rel=1e-12)
     assert o1.norm == pytest.approx(0.04265133328991326284918, rel=1e-12)
     assert eval_wavefunction(o1, 0.5) ** 2 == pytest.approx(10.00727654492562905326, rel=1e-12)
+
+
+def _reference_moments(state):
+    """(int f^2, <x^2>) in 50-digit mpmath from the antiderivatives of f^2.
+
+    f^2 = (1 +- g)/2 for cos/sin and (g +- 1)/2 for cosh/sinh, g = cos(bx) or
+    cosh(bx) with b = 2w; g0 and g2 are the antiderivatives of g and x^2 g at a,
+    both odd in x, so each integral over [-a, a] is twice g0 or g2.
+    """
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(state.spec.L) / 2, 2 * mpmath.mpf(state.wavenumber)
+        sign = 1 if state.parity == "even" else -1
+        if state.branch == "oscillatory":
+            s, c, t = mpmath.sin(a * b), mpmath.cos(a * b), 1
+        else:
+            s, c, t = mpmath.sinh(a * b), mpmath.cosh(a * b), -1
+        g0 = s / b
+        g2 = a * a * s / b + t * (2 * a * c / b**2 - 2 * s / b**3)
+        if state.branch == "oscillatory":
+            m0, m2 = a + sign * g0, a**3 / 3 + sign * g2
+        else:
+            m0, m2 = g0 + sign * a, g2 + sign * a**3 / 3
+        return m0, m2 / m0
+
+
+def _series_cutoff_gammas():
+    """Gammas whose lowest state of each branch and parity sits at u = wL just
+    below and just above the series cutoff (L = 1)."""
+    cases = []
+    for u in (_SERIES_CUTOFF * (1 - 1e-6), _SERIES_CUTOFF * (1 + 1e-6)):
+        cases += [
+            (u * math.tan(u / 2), "oscillatory", "even", u),
+            (-u / math.tan(u / 2), "oscillatory", "odd", u),
+            (-u * math.tanh(u / 2), "evanescent", "even", u),
+            (-u / math.tanh(u / 2), "evanescent", "odd", u),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "gamma", [1e-9, -1e-9, -2 + 1e-9, -2 - 1e-9, -5e4, -1e6, -1e12, 1e15]
+    + [case[0] for case in _series_cutoff_gammas()],
+)
+def test_moments_match_closed_form_reference(gamma):
+    # the wall-bound densities at gamma <= -5e4 are narrower than adaptive quadrature resolves
+    states = solve_spectrum(BoxSpec(1.0, 1.0, gamma), 21)
+    for s in states:
+        rep = uncertainty_report_1d(s)
+        m0, x2 = _reference_moments(s)
+        assert rep.observables.var_x == pytest.approx(float(x2), rel=1e-13)
+        log_m0 = float(mpmath.log(m0))
+        assert abs(2 * s.log_norm + log_m0) <= 1e-15 * max(1.0, abs(log_m0))
+        assert rep.slack >= -1e-9 * max(1.0, abs(rep.lhs))
+    for g, branch, parity, u in _series_cutoff_gammas():
+        if g == gamma:
+            wL = [s.wavenumber for s in states if (s.branch, s.parity) == (branch, parity)]
+            assert wL and wL[0] == pytest.approx(u, rel=1e-12)
 
 
 def test_orthonormality_via_quadrature():
@@ -267,6 +327,30 @@ def test_huge_gamma_reaches_the_dirichlet_levels(sign, count):
         if abs(gamma) >= 2.0**52:
             osc = [s.energy for s in states if s.branch == "oscillatory"]
             assert osc == pytest.approx(dirichlet[: len(osc)], rel=2e-15)
+
+
+def test_spectrum_root_searches_match_the_levels_needed(monkeypatch):
+    # the phase brackets interlace by parity, so 4 roots of each parity cover
+    # 5 levels: 8 brentq calls
+    calls = []
+    real = box1d.brentq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(box1d, "brentq", counting)
+    solve_spectrum(BoxSpec(1.0, 1.0, 1.0), 5)
+    assert len(calls) == 8
+    monkeypatch.undo()
+
+    gammas = [2.0 * math.tan(x) for x in np.linspace(-math.pi / 2, math.pi / 2, 202)[1:-1]]
+    gammas += [base + eps for base in (0.0, -2.0) for eps in (0.0, 1e-9, -1e-9, 1e-13, -1e-13)]
+    gammas += [1e15, -1e15, 1e100, -1e100, INF]
+    for gamma in gammas:
+        spec = BoxSpec(1.0, 1.0, gamma)
+        for count in (1, 2, 3, 4, 5, 6, 7, 10, 21):
+            assert solve_spectrum(spec, count) == solve_spectrum(spec, 2 * count + 4)[:count]
 
 
 @settings(max_examples=25, deadline=None)
