@@ -20,6 +20,12 @@ are elementary integrals, taken in closed form too:
 
 plus the two zero-energy crossings: the constant state at gamma = 0 and the
 linear state at gamma = -2/L.  Energies are k^2/2m and -q^2/2m respectively.
+
+With x = kL and c = gamma L, the two oscillatory conditions are one bounded
+phase equation, x = n pi + 2 atan(c/x): level n is even iff n is even, lies
+in (n pi, (n + 1) pi) for c > 0 and in ((n - 1) pi, n pi) for c < 0, and
+each level is one root search on its own bracket.  The Dirichlet wall is
+its end c = inf.
 """
 
 from __future__ import annotations
@@ -44,12 +50,10 @@ __all__ = [
     "spectral_flow",
 ]
 
-# Below these thresholds the root brackets degenerate (the root collides with
-# a bracket endpoint to machine precision), so we snap to the exact crossing.
+# Within this distance of gamma L = 0 and gamma L = -2 the root brackets
+# degenerate (the root collides with a bracket endpoint to machine
+# precision), so we snap to the exact crossing.
 _ZERO_MODE_SNAP = 1e-12
-# From |gamma| L = 2^52 on, the oscillatory roots are taken at the Dirichlet
-# wall (see _oscillatory_roots).
-_DIRICHLET_SNAP = 2.0**52
 # Below this u = wL the state moments come from a power series (see
 # _density_integrals), above it from the closed forms.
 _SERIES_CUTOFF = 2.0
@@ -91,8 +95,8 @@ class Eigenstate1D:
     ``parity`` is ``"even"`` or ``"odd"``.  ``wavenumber`` holds k for
     oscillatory states, the decay rate q for evanescent ones, and 0 for the
     zero modes.  ``norm`` is the amplitude A of the closed-form wavefunction;
-    ``log_norm`` is log(A), kept separately so deeply bound states (huge q)
-    can be evaluated without overflow.
+    ``log_norm`` is log(A), which stays finite for deeply bound states
+    (huge q), where A underflows.
     """
 
     spec: BoxSpec
@@ -140,17 +144,6 @@ class UncertaintyReport1D:
     slack: float
     dx: float
     observables: BoundaryObservables1D
-
-
-def _logcosh(t: np.ndarray) -> np.ndarray:
-    at = np.abs(t)
-    return at + np.log1p(np.exp(-2.0 * at)) - math.log(2.0)
-
-
-def _logsinh(t: np.ndarray) -> np.ndarray:
-    # valid for t >= 0; -inf at t = 0 by construction
-    with np.errstate(divide="ignore"):
-        return t + np.log1p(-np.exp(-2.0 * t)) - math.log(2.0)
 
 
 def _density_integrals(L: float, branch: str, parity: str, w: float) -> tuple[float, float, float]:
@@ -201,16 +194,6 @@ def _density_integrals(L: float, branch: str, parity: str, w: float) -> tuple[fl
     return log_scale + math.log(a * m0), a * a * (m2 / m0), wall / (a * m0)
 
 
-def _even_osc_f(k: float, L: float, gamma: float) -> float:
-    u = 0.5 * k * L
-    return gamma * math.cos(u) - k * math.sin(u)
-
-
-def _odd_osc_f(k: float, L: float, gamma: float) -> float:
-    u = 0.5 * k * L
-    return gamma * math.sin(u) + k * math.cos(u)
-
-
 def _bracketed_root(f, lo: float, hi: float, what: str) -> float:
     try:
         return float(brentq(f, lo, hi, **_BRENTQ_OPTS))
@@ -218,62 +201,37 @@ def _bracketed_root(f, lo: float, hi: float, what: str) -> float:
         raise SolverFailureError(f"bracketed search for {what} failed on [{lo}, {hi}]: {exc}") from None
 
 
-def _oscillatory_roots(spec: BoxSpec, n_each: int) -> list[tuple[float, str]]:
-    """The first few positive-k roots of each parity, as (k, parity) pairs.
+def _oscillatory_roots(L: float, gamma: float, levels: range) -> list[tuple[float, str]]:
+    """Wavenumber k and parity of each oscillatory level n in ``levels``.
 
-    Each root runs to a Dirichlet wavenumber as |gamma| grows: to the upper
-    end of its phase bracket for gamma > 0, to the lower end for gamma < 0.
-    Once |gamma| L >= 2^52 that wavenumber is taken directly.  The Robin shift
-    of k, about 2/(|gamma| L) relative, is then at most 4.4e-16, while gamma
-    times the rounding error of cos or sin at a bracket end can outweigh k and
-    break the bracket.
-
-    The brackets of the two parities interlace, so n_each roots of each parity
-    are the lowest 2 n_each oscillatory levels (2 n_each - 1 once the odd j = 0
-    root has turned evanescent), and the at most two evanescent levels lie
-    below them all.  So n_each = (count + 1) // 2 + 1 yields at least count + 1
-    of the lowest oscillatory levels, enough for the lowest count levels.
+    With x = kL and c = gamma L, the even condition tan(x/2) = c/x and the odd
+    one -cot(x/2) = c/x are one phase equation, x = n pi + 2 atan(c/x), and
+    level n is even iff n is even.  Written about a base b = n pi for c >= 0,
+    or b = (n - 1) pi for c < 0, the phase term y = 2 atan2(c, x), or
+    2 atan2(x, -c), lies in [0, pi], so level n is the one root of
+    x - (b + y) on [b, b + pi].  The rounded ends give -y <= 0 and
+    (b + pi) - (b + y) >= 0, since atan2 never exceeds fl(pi/2) and
+    2 fl(pi/2) = fl(pi); at the Dirichlet wall c = inf the upper end is the
+    root.  For c < 0 level 0 is evanescent, and level 1 exists only while
+    c > -2; its search starts just above the trivial root x = 0.
     """
-    L, gamma = spec.L, spec.gamma
+    c = gamma * L
+
+    def phase(x: float) -> float:
+        return 2.0 * (math.atan2(c, x) if c >= 0 else math.atan2(x, -c))
+
     roots: list[tuple[float, str]] = []
-    two_over_L = 2.0 / L
-    snap = abs(gamma) * L >= _DIRICHLET_SNAP
-
-    def root(f, lo: float, hi: float, what: str) -> float:
-        # lo and hi bound the phase u = kL/2
-        if snap:
-            n = round(2.0 * (hi if gamma > 0 else lo) / math.pi)
-            return n * math.pi / L
-        return _bracketed_root(lambda k: f(k, L, gamma), lo * two_over_L, hi * two_over_L, what)
-
-    for j in range(n_each):
-        # Even parity: for gamma > 0 the phase u = kL/2 sits in (j pi, j pi + pi/2),
-        # for gamma < 0 in (j pi + pi/2, (j+1) pi).  Signs at the endpoints are
-        # gamma*(-1)^j and -k*(+-1), so the bracket is guaranteed.
-        if gamma > 0:
-            lo, hi = j * math.pi, j * math.pi + 0.5 * math.pi
-        else:
-            lo, hi = j * math.pi + 0.5 * math.pi, (j + 1) * math.pi
-        roots.append((root(_even_osc_f, lo, hi, f"even oscillatory root {j}"), "even"))
-
-        # Odd parity: for gamma > 0 the phase is in (j pi + pi/2, (j+1) pi), for
-        # gamma < 0 in (j pi, j pi + pi/2).  The j = 0 bracket starts at k = 0
-        # and contains a root only while gamma > -2/L; beyond that the state
-        # has crossed into the evanescent family.
-        if gamma > 0:
-            lo, hi = j * math.pi + 0.5 * math.pi, (j + 1) * math.pi
-        else:
-            if j == 0 and gamma <= -two_over_L:
-                continue
-            # k = 0 solves the odd condition for every gamma: start just above it
-            lo, hi = max(j * math.pi, 1e-12), j * math.pi + 0.5 * math.pi
-        roots.append((root(_odd_osc_f, lo, hi, f"odd oscillatory root {j}"), "odd"))
+    for n in levels:
+        base = (n if c >= 0 else n - 1) * math.pi
+        x = _bracketed_root(
+            lambda x: x - (base + phase(x)), max(base, 2e-12), base + math.pi, f"oscillatory level {n}"
+        )
+        roots.append((x / L, "even" if n % 2 == 0 else "odd"))
     return roots
 
 
-def _evanescent_roots(spec: BoxSpec) -> list[tuple[float, str]]:
+def _evanescent_roots(L: float, gamma: float) -> list[tuple[float, str]]:
     """Negative-energy decay rates, at most one per parity."""
-    L, gamma = spec.L, spec.gamma
     roots: list[tuple[float, str]] = []
     if gamma >= 0:
         return roots
@@ -322,48 +280,30 @@ def _make_state(spec: BoxSpec, index: int, parity: str, branch: str, wavenumber:
 def solve_spectrum(spec: BoxSpec, count: int) -> list[Eigenstate1D]:
     """The ``count`` lowest eigenstates, in strictly increasing energy order.
 
-    Exact closed forms are used at the Dirichlet walls, at gamma = 0, and at
-    gamma = -2/L (snapping within 1e-12/L of the last two, where the generic
-    brackets degenerate); everything else comes from guaranteed-sign bracketed
-    root searches, so the count of negative-energy states is exact: none for
-    gamma >= 0, one for -2/L <= gamma < 0, two for gamma < -2/L.
+    Within 1e-12/L of gamma = 0 and gamma = -2/L, where a root meets the end
+    of its bracket, gamma snaps to the crossing and the zero mode is exact.
+    Every other level is one guaranteed-sign bracketed root search, the
+    Dirichlet wall included as c = gamma L = inf, so the count of
+    negative-energy states is exact: none for gamma >= 0, one for
+    -2/L <= gamma < 0, two for gamma < -2/L.  Those and the zero mode lie
+    below every oscillatory level, so the levels to search are the rest.
     """
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
 
     L = spec.L
-    per_parity = (count + 1) // 2 + 1
-    entries: list[tuple[str, str, float]] = []  # (parity, branch, wavenumber)
-
-    if spec.dirichlet:
-        for n in range(count):
-            k = (n + 1) * math.pi / L
-            entries.append(("even" if n % 2 == 0 else "odd", "oscillatory", k))
-    elif abs(spec.gamma) * L <= _ZERO_MODE_SNAP:
-        entries.append(("even", "zero-mode", 0.0))
-        for n in range(1, count):
-            k = n * math.pi / L
-            entries.append(("odd" if n % 2 == 1 else "even", "oscillatory", k))
+    if abs(spec.gamma) * L <= _ZERO_MODE_SNAP:
+        gamma, zero_modes = 0.0, [("even", "zero-mode", 0.0)]
     elif abs(spec.gamma + 2.0 / L) * L <= _ZERO_MODE_SNAP:
-        # The lowest odd state is the linear zero mode; _oscillatory_roots sees
-        # gamma <= -2/L and skips its degenerate j = 0 bracket on its own.
-        exact = BoxSpec(spec.m, L, -2.0 / L)
-        entries.append(("odd", "zero-mode", 0.0))
-        for q, parity in _evanescent_roots(exact):
-            entries.append((parity, "evanescent", q))
-        for k, parity in _oscillatory_roots(exact, per_parity):
-            entries.append((parity, "oscillatory", k))
+        gamma, zero_modes = -2.0 / L, [("odd", "zero-mode", 0.0)]
     else:
-        for q, parity in _evanescent_roots(spec):
-            entries.append((parity, "evanescent", q))
-        for k, parity in _oscillatory_roots(spec, per_parity):
-            entries.append((parity, "oscillatory", k))
-
+        # -inf and +inf are the same extension, the Dirichlet wall
+        gamma, zero_modes = (math.inf if spec.dirichlet else spec.gamma), []
+    entries = [(parity, "evanescent", q) for q, parity in _evanescent_roots(L, gamma)] + zero_modes
+    levels = range(len(entries), count)
+    entries += [(parity, "oscillatory", k) for k, parity in _oscillatory_roots(L, gamma, levels)]
+    # rounding can swap the deeply bound wall pair
     entries.sort(key=lambda entry: _energy(spec, entry[1], entry[2]))
-    if len(entries) < count:
-        raise SolverFailureError(
-            f"generated only {len(entries)} states, needed {count}"
-        )
     states = [
         _make_state(spec, i, parity, branch, w)
         for i, (parity, branch, w) in enumerate(entries[:count])
@@ -397,10 +337,16 @@ def eval_wavefunction(state: Eigenstate1D, x):
     elif state.branch == "oscillatory":
         out = state.norm * (np.cos(w * arr) if state.parity == "even" else np.sin(w * arr))
     else:
+        # relative to the closed-form wall value psi(L/2) = sqrt(rho): the
+        # factors below are cosh or sinh(wx) over cosh or sinh(wL/2)
+        L = state.spec.L
+        rho = _density_integrals(L, state.branch, state.parity, w)[2]
+        ax = np.abs(arr)
+        decay = math.sqrt(rho) * np.exp(w * (ax - half))
         if state.parity == "even":
-            out = np.exp(state.log_norm + _logcosh(w * arr))
+            out = decay * (1.0 + np.exp(-2.0 * w * ax)) / (1.0 + math.exp(-w * L))
         else:
-            out = np.sign(arr) * np.exp(state.log_norm + _logsinh(w * np.abs(arr)))
+            out = np.sign(arr) * decay * np.expm1(-2.0 * w * ax) / math.expm1(-w * L)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out

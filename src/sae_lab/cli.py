@@ -184,31 +184,34 @@ def cmd_spectrum(config: RunConfig):
 
 
 def _dot_grid(params: dict):
-    if params.get("grid"):
-        return qdot_fd.read_grid(params["grid"]), {"grid_file": params["grid"]}
-    shape = params["shape"]
-    n = params["resolution"]
-    length = params["length"]
-    second = params.get("length2")
-    if shape == "interval":
-        return qdot_fd.interval_grid(length, n), {"shape": "interval", "length": length}
-    if shape == "rect":
-        other = length if second is None else second
-        return qdot_fd.rect_grid(length, other, n), {
-            "shape": "rect",
-            "length": length,
-            "length2": other,
-        }
-    if shape == "disk":
-        return qdot_fd.disk_grid(length, n), {"shape": "disk", "radius": length}
-    if shape == "annulus":
-        inner = 0.5 * length if second is None else second
-        return qdot_fd.annulus_grid(inner, length, n), {
-            "shape": "annulus",
-            "inner_radius": inner,
-            "outer_radius": length,
-        }
-    raise InvalidArgumentError(f"unknown shape {shape!r}")
+    try:
+        if params.get("grid"):
+            return qdot_fd.read_grid(params["grid"]), {"grid_file": params["grid"]}
+        shape = params["shape"]
+        n = params["resolution"]
+        length = params["length"]
+        second = params.get("length2")
+        if shape == "interval":
+            return qdot_fd.interval_grid(length, n), {"shape": "interval", "length": length}
+        if shape == "rect":
+            other = length if second is None else second
+            return qdot_fd.rect_grid(length, other, n), {
+                "shape": "rect",
+                "length": length,
+                "length2": other,
+            }
+        if shape == "disk":
+            return qdot_fd.disk_grid(length, n), {"shape": "disk", "radius": length}
+        if shape == "annulus":
+            inner = 0.5 * length if second is None else second
+            return qdot_fd.annulus_grid(inner, length, n), {
+                "shape": "annulus",
+                "inner_radius": inner,
+                "outer_radius": length,
+            }
+        raise InvalidArgumentError(f"unknown shape {shape!r}")
+    except MemoryError:
+        raise InvalidArgumentError("the dot grid is too large to allocate") from None
 
 
 def cmd_dot(config: RunConfig):

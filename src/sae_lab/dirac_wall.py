@@ -32,7 +32,7 @@ values for which the relativistic wall binds a state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import root
@@ -395,15 +395,7 @@ def dispersion_4p1(wall: EtaWall, p_mag: float, branch: int) -> DispersionPoint:
     _require_scalar_wall(wall)
     point = _dispersion_core(wall, branch * p_mag, branch=branch)
     # report the magnitude, not the signed reduction variable
-    return DispersionPoint(
-        p=p_mag,
-        branch=branch,
-        energy=point.energy,
-        decay_rate=point.decay_rate,
-        speed=point.speed,
-        chemical_potential=point.chemical_potential,
-        normalizable=point.normalizable,
-    )
+    return replace(point, p=p_mag)
 
 
 def _solve_wall_state(eta: float, m: float, c: float, p: float):

@@ -465,7 +465,12 @@ def _lowest_pairs(A: sp.csr_matrix, count: int):
         lu = splu((A - sigma * sp.identity(n, format="csr")).tocsc())
         op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         v0 = np.sin(np.arange(1, n + 1))
-        theta, v = eigsh(op, k=count, ncv=min(n, max(2 * count + 1, 60)), which="LM", v0=v0, tol=0)
+        # ARPACK may ask for a random restart vector; a seeded generator
+        # keeps every solve, and so the output bytes, reproducible
+        theta, v = eigsh(
+            op, k=count, ncv=min(n, max(2 * count + 1, 60)), which="LM", v0=v0, tol=0,
+            rng=np.random.default_rng(0),
+        )
 
         def rest(x):  # the part of x outside the pairs found so far
             return x - v @ (v.T @ x)
@@ -473,7 +478,7 @@ def _lowest_pairs(A: sp.csr_matrix, count: int):
         deflated = LinearOperator((n, n), matvec=lambda x: rest(lu.solve(rest(x))), dtype=float)
         while len(theta) < n - 1:
             start = rest(np.random.default_rng(len(theta)).standard_normal(n))
-            t, x = eigsh(deflated, k=1, which="LA", v0=start, tol=0)
+            t, x = eigsh(deflated, k=1, which="LA", v0=start, tol=0, rng=np.random.default_rng(0))
             if not t[0] > theta.min():
                 break
             theta, v = np.append(theta, t), np.column_stack([v, x])

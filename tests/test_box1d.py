@@ -194,6 +194,36 @@ def test_moments_match_closed_form_reference(gamma):
             assert wL and wL[0] == pytest.approx(u, rel=1e-12)
 
 
+def _oracle_kL(c, n):
+    """Level n of the phase equation x = n pi + 2 atan(c/x), x = kL, by
+    40-digit bisection on (n pi, (n + 1) pi) for c > 0, ((n - 1) pi, n pi)
+    for c < 0, where x minus the right side runs from negative to positive."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        lo = (n if c > 0 else n - 1) * mpmath.pi
+        lo, hi = max(lo, mpmath.mpf("1e-30")), lo + mpmath.pi
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            if mid - n * mpmath.pi - 2 * mpmath.atan(c / mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def test_oscillatory_levels_match_phase_equation_oracle():
+    gammas = [2.0 * math.tan(t) for t in np.linspace(-math.pi / 2, math.pi / 2, 62)[1:-1]]
+    gammas += [sign * 10.0**e for e in (13, 16, 20, 50, 100, 150, 200, 300) for sign in (1, -1)]
+    # level 1 is ill-conditioned where it is born at gamma = -2/L
+    gammas = [g for g in gammas if abs(g + 2.0) >= 1e-3]
+    for gamma in gammas:
+        first = 0 if gamma > 0 else 1 if gamma > -2.0 else 2
+        levels = range(first, first + 5)
+        for n, (k, parity) in zip(levels, box1d._oscillatory_roots(1.0, gamma, levels)):
+            assert parity == ("even" if n % 2 == 0 else "odd")
+            assert k == pytest.approx(float(_oracle_kL(gamma, n)), rel=1e-12)
+
+
 def test_orthonormality_via_quadrature():
     states = solve_spectrum(BoxSpec(1.0, 1.0, 1.0), 4)
     for i, si in enumerate(states):
@@ -288,6 +318,15 @@ def test_deeply_bound_states_do_not_overflow():
     assert spectral_flow(states[0]) == pytest.approx(800.0, rel=1e-2)
 
 
+@pytest.mark.parametrize("gamma", [-1e9, -1e12, -1e15])
+def test_wavefunction_of_wall_bound_states_meets_the_wall_density(gamma):
+    for s in solve_spectrum(BoxSpec(1.0, 1.0, gamma), 2):
+        assert s.branch == "evanescent"
+        rho = boundary_observables(s).rho_plus
+        assert eval_wavefunction(s, 0.5) ** 2 == pytest.approx(rho, rel=1e-13)
+        assert eval_wavefunction(s, -0.5) ** 2 == pytest.approx(rho, rel=1e-13)
+
+
 def test_eval_outside_box_raises():
     s = solve_spectrum(BoxSpec(1.0, 1.0, 1.0), 1)[0]
     with pytest.raises(DomainError):
@@ -313,9 +352,9 @@ def test_invalid_arguments_rejected():
 @pytest.mark.parametrize("count", [5, 50])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_huge_gamma_reaches_the_dirichlet_levels(sign, count):
-    # Oscillatory roots snap to the Dirichlet wall from |gamma| L = 2^52 on.
-    # Below it, brentq's rtol of 8.9e-16 on k lets a level dip by up to
-    # 2e-15 relative between neighbouring gammas.
+    # From |gamma| L = 2^52 on, the phase term of the oscillatory levels rounds
+    # to its Dirichlet value.  Below it, brentq's rtol of 8.9e-16 on kL lets a
+    # level dip by up to 2e-15 relative between neighbouring gammas.
     dirichlet = [s.energy for s in solve_spectrum(BoxSpec(1.0, 1.0, INF), count)]
     prev = None
     for gamma in np.sort(sign * np.logspace(13, 154, 400)):
@@ -330,8 +369,8 @@ def test_huge_gamma_reaches_the_dirichlet_levels(sign, count):
 
 
 def test_spectrum_root_searches_match_the_levels_needed(monkeypatch):
-    # the phase brackets interlace by parity, so 4 roots of each parity cover
-    # 5 levels: 8 brentq calls
+    # one brentq search per level: 5 oscillatory levels at gamma = 1, and two
+    # evanescent plus three oscillatory levels at gamma = -4
     calls = []
     real = box1d.brentq
 
@@ -340,8 +379,10 @@ def test_spectrum_root_searches_match_the_levels_needed(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(box1d, "brentq", counting)
-    solve_spectrum(BoxSpec(1.0, 1.0, 1.0), 5)
-    assert len(calls) == 8
+    for gamma in (1.0, -4.0):
+        calls.clear()
+        solve_spectrum(BoxSpec(1.0, 1.0, gamma), 5)
+        assert len(calls) == 5
     monkeypatch.undo()
 
     gammas = [2.0 * math.tan(x) for x in np.linspace(-math.pi / 2, math.pi / 2, 202)[1:-1]]
