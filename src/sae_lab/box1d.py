@@ -10,8 +10,8 @@ with the same real parameter ``gamma`` on each side (n is the outward normal).
 sufficiently negative ``gamma`` binds states to the walls with negative energy.
 
 Eigenstates come in four families, all handled here in closed form plus a
-bracketed one-dimensional root search; their norms, <x^2> and wall densities
-are elementary integrals, taken in closed form too:
+root of one transcendental equation each; their norms, <x^2> and wall
+densities are elementary integrals, taken in closed form too:
 
 * oscillatory even  ``cos(k x)``   with gamma*cos(kL/2) = k*sin(kL/2)
 * oscillatory odd   ``sin(k x)``   with gamma*sin(kL/2) = -k*cos(kL/2)
@@ -24,17 +24,19 @@ linear state at gamma = -2/L.  Energies are k^2/2m and -q^2/2m respectively.
 With x = kL and c = gamma L, the two oscillatory conditions are one bounded
 phase equation, x = n pi + 2 atan(c/x): level n is even iff n is even, lies
 in (n pi, (n + 1) pi) for c > 0 and in ((n - 1) pi, n pi) for c < 0, and
-each level is one root search on its own bracket.  The Dirichlet wall is
-its end c = inf.
+its bracket is that interval.  The Dirichlet wall is its end c = inf.  All
+levels of all gammas asked for at once are one array of roots, found by one
+safeguarded Newton iteration (``_levels``); each root is a function of
+(L, gamma, n) alone, whatever else is solved with it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InvalidArgumentError, SolverFailureError
 
@@ -58,7 +60,23 @@ _ZERO_MODE_SNAP = 1e-12
 # _density_integrals), above it from the closed forms.
 _SERIES_CUTOFF = 2.0
 
-_BRENTQ_OPTS = dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)
+# A root search freezes an entry once its step is at most this share of |x|,
+# a few units in the last place; no search takes more than _MAX_STEPS steps.
+# From starts within about 1e-3, _PRESTEPS Newton steps reach the root and
+# the last of them is already that small.
+_STEP_TOL = 4.0 * 2.0**-52
+_MAX_STEPS = 100
+_PRESTEPS = 4
+# Taylor coefficients of (t - atan t)/t^3 in t^2, to double precision for
+# t <= 1/2, and of (v cosh v - sinh v)/v^3 in v^2, for v <= 1.
+_T_MINUS_ATAN = tuple((-1) ** j / (2 * j + 3) for j in range(26))
+_V_COSH_MINUS_SINH = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 11))
+_HUNT = (0.6666666667, 0.3555555556, 0.1608465608, 0.0632098765, 0.0217540484, 0.0065407983)
+# tan w ~ w (1 - _ALPHA w^2) / (1 - 4 w^2/pi^2), exact at w = 0 and pi/2
+_ALPHA = 4.0 * (1.0 - 8.0 / math.pi**2) / math.pi**2
+_P16 = 16.0 / math.pi**2
+_BRANCHES = ("oscillatory", "evanescent", "zero-mode")
+_PARITIES = ("even", "odd")
 
 
 @dataclass(frozen=True)
@@ -79,6 +97,10 @@ class BoxSpec:
             raise InvalidArgumentError(f"mass must be positive and finite, got {self.m}")
         if not (math.isfinite(self.L) and self.L > 0):
             raise InvalidArgumentError(f"box length must be positive and finite, got {self.L}")
+        if math.isinf(2.0 / self.L):  # the crossing gamma = -2/L must be a double
+            raise InvalidArgumentError(
+                f"box length {self.L} is too small: 2/L exceeds double precision"
+            )
         if math.isnan(self.gamma):
             raise InvalidArgumentError("gamma must not be NaN")
 
@@ -194,87 +216,259 @@ def _density_integrals(L: float, branch: str, parity: str, w: float) -> tuple[fl
     return log_scale + math.log(a * m0), a * a * (m2 / m0), wall / (a * m0)
 
 
-def _bracketed_root(f, lo: float, hi: float, what: str) -> float:
-    try:
-        return float(brentq(f, lo, hi, **_BRENTQ_OPTS))
-    except ValueError as exc:
-        raise SolverFailureError(f"bracketed search for {what} failed on [{lo}, {hi}]: {exc}") from None
+def _poly(coeffs: tuple, s):
+    """sum_j coeffs[j] s^j by Horner's rule."""
+    p = coeffs[-1]
+    for a in coeffs[-2::-1]:
+        p = p * s + a
+    return p
 
 
-def _oscillatory_roots(L: float, gamma: float, levels: range) -> list[tuple[float, str]]:
-    """Wavenumber k and parity of each oscillatory level n in ``levels``.
+def _newton(x, lo, hi, fdf, frozen):
+    """Roots of increasing functions, one per entry, by safeguarded Newton.
 
-    With x = kL and c = gamma L, the even condition tan(x/2) = c/x and the odd
-    one -cot(x/2) = c/x are one phase equation, x = n pi + 2 atan(c/x), and
-    level n is even iff n is even.  Written about a base b = n pi for c >= 0,
-    or b = (n - 1) pi for c < 0, the phase term y = 2 atan2(c, x), or
-    2 atan2(x, -c), lies in [0, pi], so level n is the one root of
-    x - (b + y) on [b, b + pi].  The rounded ends give -y <= 0 and
-    (b + pi) - (b + y) >= 0, since atan2 never exceeds fl(pi/2) and
-    2 fl(pi/2) = fl(pi); at the Dirichlet wall c = inf the upper end is the
-    root.  For c < 0 level 0 is evanescent, and level 1 exists only while
-    c > -2; its search starts just above the trivial root x = 0.
+    Entries marked ``frozen`` have nothing to solve.  _PRESTEPS plain Newton
+    steps first bring every entry from its start to its root, and the result
+    is put back into its bracket [lo, hi].  An entry freezes once its own
+    step is at most _STEP_TOL of |x|, so its root depends only on its own
+    function and start, not on the other entries.  Entries the plain steps
+    leave unfrozen go on by rtsafe (Press et al., Numerical Recipes, section
+    9.4): a Newton step that would leave the bracket becomes a bisection,
+    and the bracket shrinks to each iterate by the sign of f there.
     """
-    c = gamma * L
-
-    def phase(x: float) -> float:
-        return 2.0 * (math.atan2(c, x) if c >= 0 else math.atan2(x, -c))
-
-    roots: list[tuple[float, str]] = []
-    for n in levels:
-        base = (n if c >= 0 else n - 1) * math.pi
-        x = _bracketed_root(
-            lambda x: x - (base + phase(x)), max(base, 2e-12), base + math.pi, f"oscillatory level {n}"
-        )
-        roots.append((x / L, "even" if n % 2 == 0 else "odd"))
-    return roots
-
-
-def _evanescent_roots(L: float, gamma: float) -> list[tuple[float, str]]:
-    """Negative-energy decay rates, at most one per parity."""
-    roots: list[tuple[float, str]] = []
-    if gamma >= 0:
-        return roots
-
-    # Even: gamma + q*tanh(qL/2) is strictly increasing from gamma < 0 and
-    # exceeds zero at q = |gamma|/tanh(|gamma| L/2) + 1, so exactly one root.
-    def f_even(q: float) -> float:
-        return gamma + q * math.tanh(0.5 * q * L)
-
-    hi = -gamma / math.tanh(-0.5 * gamma * L) + 1.0
-    roots.append((_bracketed_root(f_even, 0.0, hi, "even evanescent root"), "even"))
-
-    # Odd: gamma + q*coth(qL/2) increases from gamma + 2/L, so a root exists
-    # exactly when gamma < -2/L, and it lies below |gamma|.
-    if gamma < -2.0 / L:
-        def f_odd(q: float) -> float:
-            return gamma + q / math.tanh(0.5 * q * L)
-
-        roots.append((_bracketed_root(f_odd, 1e-12 / L, -gamma, "odd evanescent root"), "odd"))
-    return roots
+    frozen = frozen | (lo >= hi)  # a bracket rounded to one point is its root
+    if np.count_nonzero(frozen) == frozen.size:
+        return np.fmin(np.fmax(x, lo), hi)
+    for _ in range(_PRESTEPS):
+        f, df = fdf(x)
+        x, last = x - f / df, x
+    x = np.fmin(np.fmax(x, lo), hi)
+    frozen |= np.abs(x - last) <= _STEP_TOL * np.abs(x)
+    if np.count_nonzero(frozen) == frozen.size:
+        return x
+    # a root on an end of its bracket, such as a Dirichlet level, lies inside
+    lo, hi = np.nextafter(lo, -np.inf), np.fmin(np.nextafter(hi, np.inf), sys.float_info.max)
+    for _ in range(_MAX_STEPS):
+        f, df = fdf(x)
+        step = x - f / df
+        outside = (step <= lo) | (step >= hi)
+        if np.count_nonzero(outside):
+            np.copyto(step, 0.5 * lo + 0.5 * hi, where=outside)
+        np.copyto(lo, x, where=f < 0)
+        np.copyto(hi, x, where=f > 0)
+        done = np.abs(step - x) <= _STEP_TOL * np.abs(x)
+        np.copyto(x, step, where=~frozen)
+        frozen |= done
+        if np.count_nonzero(frozen) == frozen.size:
+            return x
+    raise SolverFailureError(f"a root search did not converge in {_MAX_STEPS} steps")
 
 
-def _energy(spec: BoxSpec, branch: str, wavenumber: float) -> float:
-    """k^2/2m, -q^2/2m or 0; InvalidArgumentError when a double cannot hold it."""
-    if branch == "zero-mode":
-        return 0.0
-    try:
-        magnitude = wavenumber**2 / (2.0 * spec.m)
-    except OverflowError:
-        magnitude = math.inf
-    if math.isinf(magnitude):
+def _phase(L, g, c, e, width, crit):
+    """Level n of x - (n pi + 2 atan(c/x)), x = kL, on the grid of rows
+    (gammas) and columns n < ``width``, as (start, lo, hi, fdf).
+
+    The function is concave on [n pi, (n + 1) pi] for c >= 0 and convex on
+    [(n - 1) pi, n pi] for c < 0.  In the rows ``crit``, -2 < c <= -7/4,
+    level 1 is written x d/c + 2 (t - atan t), with t = x/|c| and
+    d = (gamma + 2/L) L = c + 2, its small difference taken apart.
+    """
+    cc = c[:, None].repeat(width, axis=1)
+    b = (np.arange(width) * math.pi)[None].repeat(len(c), axis=0)
+    lo = b - math.pi * (cc < 0)
+    # With x = n pi + 2 sign(c) w, level n solves (n pi/2 + sign(c) w) tan w
+    # = |c|/2 for w in [0, pi/2).  tan w ~ w (1 - _ALPHA w^2)/(1 - 4 w^2/pi^2),
+    # exact at 0 and pi/2, makes this a quadratic in w, solved twice: the
+    # second time with 1 - _ALPHA w^2 frozen at the first answer.
+    s, t8 = b / np.abs(cc), 8.0 / cc
+    w = 2.0 / (s + np.sqrt(s * s + t8 + _P16))
+    r = 1.0 - _ALPHA * w * w
+    s *= r
+    w = 2.0 / (s + np.sqrt(s * s + t8 * r + _P16))
+    x0 = b + np.copysign(2.0 * w, cc)
+    if len(crit):
+        a, d = -c[crit], e[crit] * L
+        ratio = e[crit] / g[crit]  # d/c = 1 + 2/c
+        # (t - atan t)/t = t^2/3 - t^4/5 + ... = d/2
+        x0[crit, 1] = a * np.sqrt(1.5 * d + 1.35 * d * d)
+
+    def fdf(x):
+        f = x - (b + 2.0 * np.arctan2(cc, x))
+        if len(crit):
+            xc = x[crit, 1]
+            t = xc / a
+            diff = t - np.arctan(t)
+            small = t <= 0.5
+            if np.count_nonzero(small):
+                ts = t[small]
+                diff[small] = ts * ts * ts * _poly(_T_MINUS_ATAN, ts * ts)
+            f[crit, 1] = xc * ratio + 2.0 * diff
+        return f, 1.0 + 2.0 / (cc + x * (x / cc))
+
+    return x0, lo, lo + math.pi, fdf
+
+
+def _with_walls(L, g, e, even, odd, phase):
+    """``phase`` with the wall states q in column 0 (rows ``even``) and
+    column 1 (rows ``odd``).
+
+    With v = qL/2, the even state solves gamma + q tanh v = 0 on
+    [|gamma|, |gamma| / tanh(|gamma| L/2)], and the odd one solves
+    (gamma + 2/L) + (2/L)(v coth v - 1) = 0, that is q = |gamma| tanh v, on
+    [|gamma| tanh(|e| L/2), |gamma|], e = gamma + 2/L.  The even state starts
+    from Hunt's fit of v tanh v = y, v^2 = y^2 + y / (1 + d1 y + ... + d6 y^6)
+    (J. N. Hunt, J. Waterway Div. ASCE 105, 1979), within 0.2%; the odd one
+    from a rational fit of v coth v = 1 + eps exact at both ends, within 0.6%.
+    """
+    x0, lo, hi, phase_fdf = phase
+    half, a = 0.5 * L, -g
+    y, eps = a * half, -e * half
+    v2 = (
+        y * y + y / (1.0 + y * _poly(_HUNT, y)),
+        eps * (eps + 2.0) + eps * (1.0 + 0.6 * eps) / (1.0 + eps + 0.55 * eps * eps),
+    )
+    # a root beyond the largest double ends on it, and its energy overflows
+    brackets = ((a, np.fmin(a / np.tanh(y), sys.float_info.max)), (a * np.tanh(eps), a))
+    for j, rows in enumerate((even, odd)):
+        for grid, value in ((x0, np.sqrt(v2[j]) / half), (lo, brackets[j][0]), (hi, brackets[j][1])):
+            grid[:, j] = np.where(rows, value, grid[:, j])
+    any_odd = np.count_nonzero(odd)
+
+    def fdf(x):
+        f, df = phase_fdf(x)
+        q = x[:, 0]
+        v = q * half
+        th = np.tanh(v)
+        f[:, 0] = np.where(even, g + q * th, f[:, 0])
+        df[:, 0] = np.where(even, th + v * (1.0 - th * th), df[:, 0])
+        if any_odd:
+            v = x[:, 1] * half
+            th = np.tanh(v)
+            h = v / th - 1.0
+            small = odd & (v <= 1.0)
+            if np.count_nonzero(small):
+                vs = v[small]
+                h[small] = vs * vs * vs * _poly(_V_COSH_MINUS_SINH, vs * vs) / np.sinh(vs)
+            f[:, 1] = np.where(odd, e + h / half, f[:, 1])
+            df[:, 1] = np.where(odd, (th - v * (1.0 - th * th)) / (th * th), df[:, 1])
+        return f, df
+
+    return x0, lo, hi, fdf
+
+
+def _levels(m: float, L: float, gammas, count: int):
+    """The ``count`` lowest levels of the box at each of ``gammas``, as arrays.
+
+    Returns wavenumber, energy, branch (an index into _BRANCHES) and parity
+    (an index into _PARITIES), each of shape (len(gammas), count), row i
+    for gammas[i] and column n for level n.
+
+    With x = kL and c = gamma L, the even condition tan(x/2) = c/x and the
+    odd one -cot(x/2) = c/x are one phase equation, x = n pi + 2 atan(c/x),
+    and level n is even iff n is even.  Its phase term lies in [0, pi] for
+    c >= 0 and in [-pi, 0] for c < 0, so level n is the one root on
+    [n pi, (n + 1) pi] or on [(n - 1) pi, n pi]; at the Dirichlet wall
+    c = inf it is the upper end.  Below the oscillatory levels lie the even
+    wall state for c < 0, the odd one for c < -2, and a zero mode where one
+    of them is born.
+
+    Near c = -2 the odd level, oscillatory above and wall-bound below, is
+    the small difference of large terms.  Both sides are taken analytically,
+    with d = c + 2 formed as (gamma + 2/L) L and a power series where the
+    difference is small:
+
+    * above, x - 2 atan(t) = x d/c + 2 (t - atan t), t = x/|c|;
+    * below, gamma + q coth(v) = (gamma + 2/L) + (2/L)(v coth v - 1), v = qL/2.
+
+    Every level is solved on its own, so its root is the same in any batch.
+    """
+    if count < 1:
+        raise InvalidArgumentError(f"count must be >= 1, got {count}")
+    g = np.array(gammas, dtype=float)
+    width = max(count, 2)  # the wall pair is ordered even for count 1
+    osc = np.ones((len(g), width), dtype=bool)
+    osc[:, count:] = False
+    with np.errstate(all="ignore"):
+        c = e = g * L
+        crit, walls, plain = (), 0, np.count_nonzero(c > _ZERO_MODE_SNAP)
+        if plain < len(g):
+            e = g + 2.0 / L
+            # Below (gamma + 2/L) L = -40 tanh(|e| L/2) rounds to 1, so both
+            # wall states are q = |gamma|, and levels 2 and up oscillate.
+            neg = pair = deep = (e * L < -40.0) & (g > -np.inf)
+            if plain + np.count_nonzero(deep) == len(g):
+                osc &= np.arange(width) >= 2 * deep[:, None]
+            else:
+                # only the other rows can be NaN, snap to a zero mode, stand
+                # for the Dirichlet wall at -inf or bind wall states to search
+                if np.count_nonzero(np.isnan(g)):
+                    raise InvalidArgumentError("gamma must not be NaN")
+                g[g == -np.inf] = np.inf  # the same extension as +inf
+                c, e = g * L, g + 2.0 / L
+                snap0, snap2 = np.abs(c) <= _ZERO_MODE_SNAP, np.abs(e) * L <= _ZERO_MODE_SNAP
+                if np.count_nonzero(snap0 | snap2):
+                    g[snap0], g[snap2] = 0.0, -2.0 / L
+                    c, e = g * L, g + 2.0 / L
+                neg = c < 0
+                pair = neg & (e < 0)  # both wall states
+                # the wall states and zero modes lie below every oscillatory level
+                osc &= np.arange(width) >= (neg * (1 + (e <= 0)) + snap0)[:, None]
+                if np.count_nonzero(neg) > np.count_nonzero(pair):
+                    crit = np.flatnonzero(neg & (e > 0) & (e * L <= 0.25))
+                deep = pair & (e * L < -40.0)
+            walls = np.count_nonzero(neg)
+            searched = walls - np.count_nonzero(deep)
+        equations = _phase(L, g, c, e, width, crit)
+        if walls:
+            wall = np.zeros(osc.shape, dtype=bool)
+            wall[:, 0], wall[:, 1] = neg, pair
+            if searched:
+                equations = _with_walls(L, g, e, neg & ~deep, pair & ~deep, equations)
+                x = _newton(*equations, ~(osc | (wall & ~deep[:, None])))
+            else:
+                x = _newton(*equations, ~osc)
+            k = np.where(osc, x / L, np.where(wall, x, 0.0))
+            k[deep, :2] = -g[deep, None]
+        else:
+            k = np.where(osc, _newton(*equations, ~osc) / L, 0.0)
+        energy = k * k / (2.0 * m)
+    branch = 2 - 2 * osc  # oscillatory 0, zero mode 2
+    if walls:
+        branch[wall] = 1
+    overflow = np.isinf(energy)
+    if np.count_nonzero(overflow):
+        i, j = np.argwhere(overflow)[0]
         raise InvalidArgumentError(
-            f"the {branch} level with wavenumber {wavenumber} at gamma={spec.gamma} "
+            f"the {_BRANCHES[branch[i, j]]} level with wavenumber {k[i, j]} at gamma={gammas[i]} "
             "has an energy beyond double precision"
         )
-    return magnitude if branch == "oscillatory" else -magnitude
-
-
-def _make_state(spec: BoxSpec, index: int, parity: str, branch: str, wavenumber: float) -> Eigenstate1D:
-    energy = _energy(spec, branch, wavenumber)
-    log_norm = -0.5 * _density_integrals(spec.L, branch, parity, wavenumber)[0]
-    A = math.exp(log_norm)
-    return Eigenstate1D(spec, index, parity, branch, wavenumber, energy, A, log_norm)
+    parity = np.zeros(osc.shape, dtype=int)
+    parity[:, 1::2] = 1
+    if walls:
+        energy[wall] *= -1.0
+    if walls and searched:
+        # rounding can swap the deeply bound wall pair
+        swap = pair & (energy[:, 1] < energy[:, 0])
+        if np.count_nonzero(swap):
+            for a in (k, energy, parity):
+                a[swap, :2] = a[swap, 1::-1]
+    if width > count:
+        k, energy, branch, parity = k[:, :count], energy[:, :count], branch[:, :count], parity[:, :count]
+    # Energies are strictly increasing analytically.  The one place doubles
+    # cannot resolve the gap is the deeply bound wall pair, whose splitting
+    # shrinks like exp(-|gamma| L); a tie there is expected, not a bug.
+    disorder = energy[:, 1:] <= energy[:, :-1]
+    if walls:
+        disorder[:, :1] &= ~pair[:, None]
+    if np.count_nonzero(disorder):
+        i, j = np.argwhere(disorder)[0]
+        pair_of = f"E_{j}={energy[i, j]}, E_{j + 1}={energy[i, j + 1]}"
+        if max(abs(energy[i, j]), abs(energy[i, j + 1])) < sys.float_info.min:
+            raise InvalidArgumentError(
+                f"the levels at gamma={gammas[i]} have energies below double precision: {pair_of}"
+            )
+        raise SolverFailureError(f"energy ordering violated: {pair_of}")
+    return k, energy, branch, parity
 
 
 def solve_spectrum(spec: BoxSpec, count: int) -> list[Eigenstate1D]:
@@ -282,43 +476,17 @@ def solve_spectrum(spec: BoxSpec, count: int) -> list[Eigenstate1D]:
 
     Within 1e-12/L of gamma = 0 and gamma = -2/L, where a root meets the end
     of its bracket, gamma snaps to the crossing and the zero mode is exact.
-    Every other level is one guaranteed-sign bracketed root search, the
+    Every other level is one bracketed root search of ``_levels``, the
     Dirichlet wall included as c = gamma L = inf, so the count of
     negative-energy states is exact: none for gamma >= 0, one for
-    -2/L <= gamma < 0, two for gamma < -2/L.  Those and the zero mode lie
-    below every oscillatory level, so the levels to search are the rest.
+    -2/L <= gamma < 0, two for gamma < -2/L.
     """
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {count}")
-
-    L = spec.L
-    if abs(spec.gamma) * L <= _ZERO_MODE_SNAP:
-        gamma, zero_modes = 0.0, [("even", "zero-mode", 0.0)]
-    elif abs(spec.gamma + 2.0 / L) * L <= _ZERO_MODE_SNAP:
-        gamma, zero_modes = -2.0 / L, [("odd", "zero-mode", 0.0)]
-    else:
-        # -inf and +inf are the same extension, the Dirichlet wall
-        gamma, zero_modes = (math.inf if spec.dirichlet else spec.gamma), []
-    entries = [(parity, "evanescent", q) for q, parity in _evanescent_roots(L, gamma)] + zero_modes
-    levels = range(len(entries), count)
-    entries += [(parity, "oscillatory", k) for k, parity in _oscillatory_roots(L, gamma, levels)]
-    # rounding can swap the deeply bound wall pair
-    entries.sort(key=lambda entry: _energy(spec, entry[1], entry[2]))
-    states = [
-        _make_state(spec, i, parity, branch, w)
-        for i, (parity, branch, w) in enumerate(entries[:count])
-    ]
-    # Energies are strictly increasing analytically.  The one place doubles
-    # cannot resolve the gap is the deeply bound wall pair, whose splitting
-    # shrinks like exp(-|gamma| L); a tie there is expected, not a bug.
-    for s1, s2 in zip(states, states[1:]):
-        if s2.energy > s1.energy:
-            continue
-        wall_pair = s1.branch == "evanescent" and s2.branch == "evanescent"
-        if s2.energy < s1.energy or not wall_pair:
-            raise SolverFailureError(
-                f"energy ordering violated: E_{s1.index}={s1.energy}, E_{s2.index}={s2.energy}"
-            )
+    L, states = spec.L, []
+    rows = [a.tolist()[0] for a in _levels(spec.m, L, [spec.gamma], count)]
+    for index, (w, energy, branch, parity) in enumerate(zip(*rows)):
+        branch, parity = _BRANCHES[branch], _PARITIES[parity]
+        log_norm = -0.5 * _density_integrals(L, branch, parity, w)[0]
+        states.append(Eigenstate1D(spec, index, parity, branch, w, energy, math.exp(log_norm), log_norm))
     return states
 
 

@@ -29,6 +29,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import box1d, dirac_wall, hetero, qdot_fd, wall_models
 from .errors import (
     DegenerateStateError,
@@ -128,6 +130,8 @@ def _arctan_samples(params: dict, name: str, scale: float):
     single = params.get(name)
     if single is not None:
         return [(math.atan(single * scale), single)]
+    if scale == 0.0:
+        raise InvalidArgumentError(f"the {name} scale underflows to 0, so no sweep can sample {name}")
     steps = params[f"{name}_steps"]
     if steps < 2:
         article = "an" if name[0] in "aeiou" else "a"
@@ -162,12 +166,15 @@ def cmd_spectrum(config: RunConfig):
     box1d.BoxSpec(m=m, L=L, gamma=0.0)  # reject a bad m or L before sampling divides by L
     raw = params["raw_units"]
     scale = 1.0 if raw else 2.0 * m * L * L / math.pi**2
-    rows, doc_rows = [], []
-    for x, gamma in _arctan_samples(params, "gamma", L / 2.0):
-        states = box1d.solve_spectrum(box1d.BoxSpec(m=m, L=L, gamma=gamma), _SPECTRUM_LEVELS)
-        energies = [state.energy * scale for state in states]
-        rows.append([gamma if raw else x, *energies])
-        doc_rows.append({"arctan_half_gamma_L": x, "gamma": gamma, "energies": energies})
+    samples = _arctan_samples(params, "gamma", L / 2.0)
+    energies = box1d._levels(m, L, [gamma for _, gamma in samples], _SPECTRUM_LEVELS)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = (energies * scale).tolist()
+    rows = [[gamma if raw else x, *row] for (x, gamma), row in zip(samples, energies)]
+    doc_rows = [
+        {"arctan_half_gamma_L": x, "gamma": gamma, "energies": row}
+        for (x, gamma), row in zip(samples, energies)
+    ]
     header = ["gamma" if raw else "arctan_half_gamma_L"]
     header += [f"e{n}" for n in range(_SPECTRUM_LEVELS)]
     doc = {

@@ -185,7 +185,12 @@ class RobinField:
         return self.uniform is not None and math.isinf(self.uniform)
 
     def resolve(self, grid: DomainGrid) -> np.ndarray:
-        """Finite per-face gammas; +-inf entries become the exact 2/h."""
+        """Finite per-face gammas; +-inf entries become the exact 2/h.
+
+        A finite gamma with |gamma| h >= 2^52 is rejected: its face term
+        outweighs the kinetic term 1/(2 m h^2) by more than double precision
+        resolves, and the wall it stands for is the Dirichlet wall, gamma = inf.
+        """
         if self.uniform is not None:
             vals = np.full(grid.n_faces, self.uniform)
         else:
@@ -194,7 +199,15 @@ class RobinField:
                     f"boundary field has {len(self.per_face)} values, grid has {grid.n_faces} faces"
                 )
             vals = self.per_face.copy()
-        vals[np.isinf(vals)] = 2.0 / grid.h
+        wall = np.isinf(vals)
+        stiff = np.abs(vals) * grid.h >= 2.0**52
+        if np.any(stiff & ~wall):
+            gamma = float(vals[stiff & ~wall][0])
+            raise InvalidArgumentError(
+                f"gamma={gamma} on a grid of spacing h={grid.h} has |gamma| h >= 2^52; "
+                "for the Dirichlet wall use gamma = inf (--gamma inf)"
+            )
+        vals[wall] = 2.0 / grid.h
         return vals
 
 

@@ -194,34 +194,61 @@ def test_moments_match_closed_form_reference(gamma):
             assert wL and wL[0] == pytest.approx(u, rel=1e-12)
 
 
-def _oracle_kL(c, n):
-    """Level n of the phase equation x = n pi + 2 atan(c/x), x = kL, by
-    40-digit bisection on (n pi, (n + 1) pi) for c > 0, ((n - 1) pi, n pi)
-    for c < 0, where x minus the right side runs from negative to positive."""
+def _bisect(f, lo, hi):
+    """The root of an increasing f on [lo, hi] by 40-digit bisection."""
     with mpmath.workdps(40):
-        c = mpmath.mpf(c)
-        lo = (n if c > 0 else n - 1) * mpmath.pi
-        lo, hi = max(lo, mpmath.mpf("1e-30")), lo + mpmath.pi
-        for _ in range(140):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        for _ in range(160):
             mid = (lo + hi) / 2
-            if mid - n * mpmath.pi - 2 * mpmath.atan(c / mid) < 0:
+            if f(mid) < 0:
                 lo = mid
             else:
                 hi = mid
         return (lo + hi) / 2
 
 
+def _oracle_kL(c, n):
+    """Level n of the phase equation x = n pi + 2 atan(c/x), x = kL, on
+    (n pi, (n + 1) pi) for c > 0 and ((n - 1) pi, n pi) for c < 0, where x
+    minus the right side runs from negative to positive."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        lo = (n if c > 0 else n - 1) * mpmath.pi
+
+        def phase(x):
+            return x - n * mpmath.pi - 2 * mpmath.atan(c / x)
+
+        return _bisect(phase, max(lo, mpmath.mpf("1e-30")), lo + mpmath.pi)
+
+
+def _oracle_qL(c, parity):
+    """The wall state u = qL of c = gamma L < 0: u tanh(u/2) = |c| (even) or
+    u coth(u/2) = |c| (odd), whose root lies below |c| + 2."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        if parity == "even":
+            return _bisect(lambda u: u * mpmath.tanh(u / 2) + c, 0, 2 - c)
+        return _bisect(lambda u: u / mpmath.tanh(u / 2) + c, mpmath.mpf("1e-30"), -c)
+
+
 def test_oscillatory_levels_match_phase_equation_oracle():
     gammas = [2.0 * math.tan(t) for t in np.linspace(-math.pi / 2, math.pi / 2, 62)[1:-1]]
     gammas += [sign * 10.0**e for e in (13, 16, 20, 50, 100, 150, 200, 300) for sign in (1, -1)]
-    # level 1 is ill-conditioned where it is born at gamma = -2/L
-    gammas = [g for g in gammas if abs(g + 2.0) >= 1e-3]
-    for gamma in gammas:
-        first = 0 if gamma > 0 else 1 if gamma > -2.0 else 2
-        levels = range(first, first + 5)
-        for n, (k, parity) in zip(levels, box1d._oscillatory_roots(1.0, gamma, levels)):
-            assert parity == ("even" if n % 2 == 0 else "odd")
-            assert k == pytest.approx(float(_oracle_kL(gamma, n)), rel=1e-12)
+    # the wall states of gamma <= -1e200 have energies beyond double precision
+    gammas = [g for g in gammas if g > -1e200]
+    # gamma = -2/L, where level 1 turns from oscillatory to wall-bound, is a
+    # small difference of large terms on both sides
+    near = [-2.0 + sign * delta for delta in (1e-3, 1e-6, 1e-9, 1e-11) for sign in (1, -1)]
+    k, _, branch, parity = box1d._levels(1.0, 1.0, gammas + near, 7)
+    for row, gamma in enumerate(gammas + near):
+        rel = 1e-13 if gamma in near else 1e-12
+        for n in range(7):
+            if branch[row, n] == 0:
+                assert parity[row, n] == n % 2
+                assert k[row, n] == pytest.approx(float(_oracle_kL(gamma, n)), rel=rel)
+            elif branch[row, n] == 1:
+                want = _oracle_qL(gamma, box1d._PARITIES[parity[row, n]])
+                assert k[row, n] == pytest.approx(float(want), rel=rel)
 
 
 def test_orthonormality_via_quadrature():
@@ -340,6 +367,8 @@ def test_invalid_arguments_rejected():
         BoxSpec(-1.0, 1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         BoxSpec(1.0, 0.0, 0.0)
+    with pytest.raises(InvalidArgumentError):  # 2/L overflows
+        BoxSpec(1.0, 1e-309, 0.0)
     with pytest.raises(InvalidArgumentError):
         BoxSpec(1.0, 1.0, float("nan"))
     with pytest.raises(InvalidArgumentError):
@@ -353,8 +382,8 @@ def test_invalid_arguments_rejected():
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_huge_gamma_reaches_the_dirichlet_levels(sign, count):
     # From |gamma| L = 2^52 on, the phase term of the oscillatory levels rounds
-    # to its Dirichlet value.  Below it, brentq's rtol of 8.9e-16 on kL lets a
-    # level dip by up to 2e-15 relative between neighbouring gammas.
+    # to its Dirichlet value.  Below it, a root search ends within a few ulps
+    # of kL, so a level may dip by up to 2e-15 relative between neighbouring gammas.
     dirichlet = [s.energy for s in solve_spectrum(BoxSpec(1.0, 1.0, INF), count)]
     prev = None
     for gamma in np.sort(sign * np.logspace(13, 154, 400)):
@@ -368,26 +397,28 @@ def test_huge_gamma_reaches_the_dirichlet_levels(sign, count):
             assert osc == pytest.approx(dirichlet[: len(osc)], rel=2e-15)
 
 
-def test_spectrum_root_searches_match_the_levels_needed(monkeypatch):
-    # one brentq search per level: 5 oscillatory levels at gamma = 1, and two
-    # evanescent plus three oscillatory levels at gamma = -4
-    calls = []
-    real = box1d.brentq
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(box1d, "brentq", counting)
-    for gamma in (1.0, -4.0):
-        calls.clear()
-        solve_spectrum(BoxSpec(1.0, 1.0, gamma), 5)
-        assert len(calls) == 5
-    monkeypatch.undo()
-
+def test_spectrum_root_searches_match_the_levels_needed():
     gammas = [2.0 * math.tan(x) for x in np.linspace(-math.pi / 2, math.pi / 2, 202)[1:-1]]
     gammas += [base + eps for base in (0.0, -2.0) for eps in (0.0, 1e-9, -1e-9, 1e-13, -1e-13)]
     gammas += [1e15, -1e15, 1e100, -1e100, INF]
+    # every root is solved on its own, so a sweep row is bit-equal to the
+    # spectrum of its gamma alone
+    for count in (1, 2, 5):
+        k, energy, branch, parity = box1d._levels(1.0, 1.0, gammas, count)
+        for row, gamma in enumerate(gammas):
+            alone = solve_spectrum(BoxSpec(1.0, 1.0, gamma), count)
+            assert [s.wavenumber for s in alone] == k[row].tolist()
+            assert [s.energy for s in alone] == energy[row].tolist()
+            assert [s.branch for s in alone] == [box1d._BRANCHES[b] for b in branch[row]]
+            assert [s.parity for s in alone] == [box1d._PARITIES[p] for p in parity[row]]
+
+    # the paper's monotonicity in gamma, to within 4 ulps, along the
+    # 2001-row sweep of `spectrum --gamma-steps 2001`, at its finite gammas
+    sweep = [2.0 * math.tan(x) for x in np.linspace(-math.pi / 2, math.pi / 2, 2001)[1:-1]]
+    energy = box1d._levels(1.0, 1.0, sweep, 5)[1]
+    lower, upper = energy[:-1], energy[1:]
+    assert np.all(upper >= lower - 4.0 * np.spacing(np.abs(lower)))
+
     for gamma in gammas:
         spec = BoxSpec(1.0, 1.0, gamma)
         for count in (1, 2, 3, 4, 5, 6, 7, 10, 21):

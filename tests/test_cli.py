@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sae_lab.cli as cli
-from sae_lab import qdot_fd
+from sae_lab import box1d, qdot_fd
 from sae_lab.errors import InvalidArgumentError, SolverFailureError
 
 
@@ -379,6 +383,10 @@ def test_missing_subcommand_is_usage_error(capsys):
         (["spectrum", "--gamma=-5e16", "--raw-units"], 0),
         (["spectrum", "--gamma", "1e300", "--format", "json"], 0),
         (["spectrum", "--gamma=-1e300"], 2),
+        # every energy underflows to 0; L/2 underflows to 0; 2/L overflows
+        (["spectrum", "--length", "1e300", "--gamma-steps", "2"], 2),
+        (["spectrum", "--length", "5e-324", "--gamma-steps", "3"], 2),
+        (["spectrum", "--length", "1.1125369292536007e-308", "--gamma=-1.7976931348623157e308"], 2),
         (["dot", "--shape", "interval", "--resolution", "3", "--count", "3"], 0),
         (["dot", "--shape", "rect", "--resolution", "8", "--length", "inf"], 2),
         (["dot", "--shape", "disk", "--resolution", "8", "--length", "inf"], 2),
@@ -389,6 +397,9 @@ def test_missing_subcommand_is_usage_error(capsys):
         (["dot", "--shape", "rect", "--resolution", "2", "--count", "3"], 0),
         # levels 1-2 of this annulus are a degenerate pair that Lanczos can cut in two
         (["dot", "--shape", "annulus", "--resolution", "64", "--length", "1.3297881602528314", "--gamma", "5"], 0),
+        # |gamma| h beyond 2^52 is the Dirichlet wall, asked for as --gamma inf
+        (["dot", "--shape", "disk", "--resolution", "16", "--gamma", "1e300"], 2),
+        (["dot", "--shape", "interval", "--resolution", "8", "--gamma=-1e300"], 2),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit{value}",
 )
@@ -401,3 +412,50 @@ def test_edge_inputs_end_in_a_clean_exit(args, code, capsys):
     else:
         assert out == ""
         assert err.startswith("error: ")
+
+
+_WIDE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0, 5e-324, 1e-300, 1e300, -1e300, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mass=_WIDE,
+    length=_WIDE,
+    gamma=st.none() | _WIDE,
+    gamma_min=st.none() | _WIDE,
+    gamma_max=st.none() | _WIDE,
+    steps=st.integers(min_value=-1, max_value=64),
+    raw=st.booleans(),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_spectrum_argv_ends_in_a_clean_exit(mass, length, gamma, gamma_min, gamma_max, steps, raw, fmt):
+    args = ["spectrum", f"--mass={mass!r}", f"--length={length!r}", f"--gamma-steps={steps}"]
+    args += ["--format", fmt]
+    for flag, value in (("--gamma", gamma), ("--gamma-min", gamma_min), ("--gamma-max", gamma_max)):
+        if value is not None:
+            args.append(f"{flag}={value!r}")
+    if raw:
+        args.append("--raw-units")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a library warning would reach stderr outside pytest
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(args)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert rc in (0, 2)
+    if rc == 2:
+        assert out == "" and err.startswith("error: ")
+        return
+    assert err == ""
+    if raw:
+        if fmt == "csv":
+            rows = [[float(v) for v in row] for row in parse_csv(out)[1]]
+        else:
+            rows = [[float(r["gamma"]), *map(float, r["energies"])] for r in json.loads(out)["rows"]]
+        for row_gamma, *energies in rows:
+            alone = box1d.solve_spectrum(box1d.BoxSpec(mass, length, row_gamma), 5)
+            assert energies == [s.energy for s in alone]
