@@ -26,8 +26,8 @@ phase equation, x = n pi + 2 atan(c/x): level n is even iff n is even, lies
 in (n pi, (n + 1) pi) for c > 0 and in ((n - 1) pi, n pi) for c < 0, and
 its bracket is that interval.  The Dirichlet wall is its end c = inf.  All
 levels of all gammas asked for at once are one array of roots, found by one
-safeguarded Newton iteration (``_levels``); each root is a function of
-(L, gamma, n) alone, whatever else is solved with it.
+Newton iteration kept inside the brackets (``_levels``); each root is a
+function of (L, gamma, n) alone, whatever else is solved with it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,18 +61,15 @@ _ZERO_MODE_SNAP = 1e-12
 # _density_integrals), above it from the closed forms.
 _SERIES_CUTOFF = 2.0
 
-# A root search freezes an entry once its step is at most this share of |x|,
-# a few units in the last place; no search takes more than _MAX_STEPS steps.
-# From starts within about 1e-3, _PRESTEPS Newton steps reach the root and
-# the last of them is already that small.
+# An entry of a root search stops at the first iterate whose step is at most
+# this share of it, a few units in the last place; no search takes more than
+# _MAX_STEPS steps.
 _STEP_TOL = 4.0 * 2.0**-52
 _MAX_STEPS = 100
-_PRESTEPS = 4
 # Taylor coefficients of (t - atan t)/t^3 in t^2, to double precision for
 # t <= 1/2, and of (v cosh v - sinh v)/v^3 in v^2, for v <= 1.
 _T_MINUS_ATAN = tuple((-1) ** j / (2 * j + 3) for j in range(26))
 _V_COSH_MINUS_SINH = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 11))
-_HUNT = (0.6666666667, 0.3555555556, 0.1608465608, 0.0632098765, 0.0217540484, 0.0065407983)
 # tan w ~ w (1 - _ALPHA w^2) / (1 - 4 w^2/pi^2), exact at w = 0 and pi/2
 _ALPHA = 4.0 * (1.0 - 8.0 / math.pi**2) / math.pi**2
 _P16 = 16.0 / math.pi**2
@@ -118,7 +116,7 @@ class Eigenstate1D:
     oscillatory states, the decay rate q for evanescent ones, and 0 for the
     zero modes.  ``norm`` is the amplitude A of the closed-form wavefunction;
     ``log_norm`` is log(A), which stays finite for deeply bound states
-    (huge q), where A underflows.
+    (huge q), where A underflows.  Both are computed when first read.
     """
 
     spec: BoxSpec
@@ -127,8 +125,14 @@ class Eigenstate1D:
     branch: str
     wavenumber: float
     energy: float
-    norm: float
-    log_norm: float
+
+    @cached_property
+    def log_norm(self) -> float:
+        return -0.5 * _density_integrals(self.spec.L, self.branch, self.parity, self.wavenumber)[0]
+
+    @cached_property
+    def norm(self) -> float:
+        return math.exp(self.log_norm)
 
 
 @dataclass(frozen=True)
@@ -224,133 +228,129 @@ def _poly(coeffs: tuple, s):
     return p
 
 
-def _newton(x, lo, hi, fdf, frozen):
-    """Roots of increasing functions, one per entry, by safeguarded Newton.
+def _newton(x, lo, hi, fdf):
+    """Roots in [lo, hi], one per entry, by Newton's method kept in the bracket.
 
-    Entries marked ``frozen`` have nothing to solve.  _PRESTEPS plain Newton
-    steps first bring every entry from its start to its root, and the result
-    is put back into its bracket [lo, hi].  An entry freezes once its own
-    step is at most _STEP_TOL of |x|, so its root depends only on its own
-    function and start, not on the other entries.  Entries the plain steps
-    leave unfrozen go on by rtsafe (Press et al., Numerical Recipes, section
-    9.4): a Newton step that would leave the bracket becomes a bisection,
-    and the bracket shrinks to each iterate by the sign of f there.
+    Each f must be increasing on its bracket and either concave or convex
+    there, with its root inside; a bracket rounded to one point is its root.
+    Then a Newton step, cut back to the bracket, never moves away from the
+    root: after at most one step the iterates close in on it from one side
+    (from below where f is concave, from above where it is convex).  An
+    entry stops at the first iterate whose own step is at most _STEP_TOL of
+    it (all roots here are nonnegative) and stays there, so its root depends
+    only on its own function and start, not on the other entries.
     """
-    frozen = frozen | (lo >= hi)  # a bracket rounded to one point is its root
-    if np.count_nonzero(frozen) == frozen.size:
-        return np.fmin(np.fmax(x, lo), hi)
-    for _ in range(_PRESTEPS):
-        f, df = fdf(x)
-        x, last = x - f / df, x
     x = np.fmin(np.fmax(x, lo), hi)
-    frozen |= np.abs(x - last) <= _STEP_TOL * np.abs(x)
-    if np.count_nonzero(frozen) == frozen.size:
-        return x
-    # a root on an end of its bracket, such as a Dirichlet level, lies inside
-    lo, hi = np.nextafter(lo, -np.inf), np.fmin(np.nextafter(hi, np.inf), sys.float_info.max)
     for _ in range(_MAX_STEPS):
         f, df = fdf(x)
-        step = x - f / df
-        outside = (step <= lo) | (step >= hi)
-        if np.count_nonzero(outside):
-            np.copyto(step, 0.5 * lo + 0.5 * hi, where=outside)
-        np.copyto(lo, x, where=f < 0)
-        np.copyto(hi, x, where=f > 0)
-        done = np.abs(step - x) <= _STEP_TOL * np.abs(x)
-        np.copyto(x, step, where=~frozen)
-        frozen |= done
-        if np.count_nonzero(frozen) == frozen.size:
+        step = np.fmin(np.fmax(x - f / df, lo), hi)
+        moving = np.abs(step - x) > _STEP_TOL * x
+        if not np.count_nonzero(moving):
             return x
+        np.copyto(x, step, where=moving)
     raise SolverFailureError(f"a root search did not converge in {_MAX_STEPS} steps")
 
 
-def _phase(L, g, c, e, width, crit):
-    """Level n of x - (n pi + 2 atan(c/x)), x = kL, on the grid of rows
-    (gammas) and columns n < ``width``, as (start, lo, hi, fdf).
+def _phase(c, width):
+    """Level n of x - (n pi + 2 atan(c/x)), x = kL, for the rows c = gamma L
+    and the columns n < ``width``, as (start, lo, hi, fdf).
 
-    The function is concave on [n pi, (n + 1) pi] for c >= 0 and convex on
-    [(n - 1) pi, n pi] for c < 0.  In the rows ``crit``, -2 < c <= -7/4,
-    level 1 is written x d/c + 2 (t - atan t), with t = x/|c| and
-    d = (gamma + 2/L) L = c + 2, its small difference taken apart.
+    Level n lies in [n pi, (n + 1) pi] for c >= 0, where the function is
+    increasing and concave, and in [(n - 1) pi, n pi] for c < 0, where it is
+    convex, and increasing too except for level 1 at -2 < c < 0 (see
+    _with_walls).  At c = 0 level 0 is the constant zero mode, the lower end
+    x = 0 of its bracket.  Every array has the shape of the grid, which
+    numpy handles faster than broadcasting.
     """
-    cc = c[:, None].repeat(width, axis=1)
+    c = c[:, None].repeat(width, axis=1)
     b = (np.arange(width) * math.pi)[None].repeat(len(c), axis=0)
-    lo = b - math.pi * (cc < 0)
+    lo = b - math.pi * (c < 0)
     # With x = n pi + 2 sign(c) w, level n solves (n pi/2 + sign(c) w) tan w
     # = |c|/2 for w in [0, pi/2).  tan w ~ w (1 - _ALPHA w^2)/(1 - 4 w^2/pi^2),
     # exact at 0 and pi/2, makes this a quadratic in w, solved twice: the
     # second time with 1 - _ALPHA w^2 frozen at the first answer.
-    s, t8 = b / np.abs(cc), 8.0 / cc
+    s, t8 = b / np.abs(c), 8.0 / c
     w = 2.0 / (s + np.sqrt(s * s + t8 + _P16))
     r = 1.0 - _ALPHA * w * w
-    s *= r
+    s = s * r
     w = 2.0 / (s + np.sqrt(s * s + t8 * r + _P16))
-    x0 = b + np.copysign(2.0 * w, cc)
-    if len(crit):
-        a, d = -c[crit], e[crit] * L
-        ratio = e[crit] / g[crit]  # d/c = 1 + 2/c
-        # (t - atan t)/t = t^2/3 - t^4/5 + ... = d/2
-        x0[crit, 1] = a * np.sqrt(1.5 * d + 1.35 * d * d)
 
     def fdf(x):
-        f = x - (b + 2.0 * np.arctan2(cc, x))
-        if len(crit):
-            xc = x[crit, 1]
-            t = xc / a
-            diff = t - np.arctan(t)
-            small = t <= 0.5
-            if np.count_nonzero(small):
-                ts = t[small]
-                diff[small] = ts * ts * ts * _poly(_T_MINUS_ATAN, ts * ts)
-            f[crit, 1] = xc * ratio + 2.0 * diff
-        return f, 1.0 + 2.0 / (cc + x * (x / cc))
+        y = np.arctan2(c, x)
+        return x - (b + (y + y)), 1.0 + 2.0 / (c + x * (x / c))
 
-    return x0, lo, lo + math.pi, fdf
+    return b + np.copysign(w + w, c), lo, lo + math.pi, fdf
 
 
-def _with_walls(L, g, e, even, odd, phase):
-    """``phase`` with the wall states q in column 0 (rows ``even``) and
-    column 1 (rows ``odd``).
+def _with_walls(L, g, e, neg, pair, phase):
+    """``phase`` with the levels that gamma < 0 changes: the wall states q in
+    column 0 (rows ``neg``) and column 1 (rows ``pair``), and level 1 of the
+    other rows of ``neg``.
 
-    With v = qL/2, the even state solves gamma + q tanh v = 0 on
-    [|gamma|, |gamma| / tanh(|gamma| L/2)], and the odd one solves
-    (gamma + 2/L) + (2/L)(v coth v - 1) = 0, that is q = |gamma| tanh v, on
-    [|gamma| tanh(|e| L/2), |gamma|], e = gamma + 2/L.  The even state starts
-    from Hunt's fit of v tanh v = y, v^2 = y^2 + y / (1 + d1 y + ... + d6 y^6)
-    (J. N. Hunt, J. Waterway Div. ASCE 105, 1979), within 0.2%; the odd one
-    from a rational fit of v coth v = 1 + eps exact at both ends, within 0.6%.
+    With v = qL/2, the even wall state solves q + gamma coth v = 0,
+    increasing and concave on [|gamma|, |gamma| coth(|gamma| L/2)], and the
+    odd one (gamma + 2/L) + (2/L)(v coth v - 1) = 0, increasing and convex
+    on [|gamma| tanh(|e| L/2), |gamma|], e = gamma + 2/L.  Below
+    (gamma + 2/L) L = -40 both brackets round to the point |gamma|, so that
+    is both roots.  With y = |gamma| L/2 and eps = |e| L/2 the even state
+    starts from v^2 = y (y + 1) and the odd one from v^2 = eps (eps + 3),
+    both right to leading order for small and for large arguments.
+
+    Level 1 at -2 < c < 0, c = gamma L, falls from its trivial root x = 0 to
+    its minimum at x = sqrt(|c| d), d = (gamma + 2/L) L, and is increasing
+    and convex beyond it, so its bracket starts there; at c = -2 it is the
+    linear zero mode x = 0.  For d <= 1/4 it is written x d/c + 2 (t - atan t),
+    t = x/|c|, its small difference taken apart: with s = t/(1 + sqrt(1 + t^2)),
+    atan t = 2 atan s and t - 2 s = t s^2, so t - atan t = t s^2 + 2 (s - atan s),
+    a power series in s^2 with s <= 1/3 at the root.
     """
     x0, lo, hi, phase_fdf = phase
-    half, a = 0.5 * L, -g
-    y, eps = a * half, -e * half
-    v2 = (
-        y * y + y / (1.0 + y * _poly(_HUNT, y)),
-        eps * (eps + 2.0) + eps * (1.0 + 0.6 * eps) / (1.0 + eps + 0.55 * eps * eps),
-    )
+    half, a, d = 0.5 * L, -g, e * L
+    for j, rows in enumerate((neg, pair)):
+        np.copyto(lo[:, j], a, where=rows)
+        np.copyto(hi[:, j], a, where=rows)
+    searched = neg & (d >= -40.0)
+    if not np.count_nonzero(searched):
+        return x0, lo, hi, phase_fdf
+    even, odd = np.flatnonzero(searched), np.flatnonzero(searched & pair)
+    rising = np.flatnonzero(neg & ~pair)
+    crit = rising[d[rising] <= 0.25]
+    ae, ao = a[even], e[odd]
+    y, eps = ae * half, ao * -half
     # a root beyond the largest double ends on it, and its energy overflows
-    brackets = ((a, np.fmin(a / np.tanh(y), sys.float_info.max)), (a * np.tanh(eps), a))
-    for j, rows in enumerate((even, odd)):
-        for grid, value in ((x0, np.sqrt(v2[j]) / half), (lo, brackets[j][0]), (hi, brackets[j][1])):
-            grid[:, j] = np.where(rows, value, grid[:, j])
-    any_odd = np.count_nonzero(odd)
+    hi[even, 0] = np.fmin(ae / np.tanh(y), sys.float_info.max)
+    lo[odd, 1] = a[odd] * np.tanh(eps)
+    x0[even, 0] = np.sqrt(y * (y + 1.0)) / half
+    x0[odd, 1] = np.sqrt(eps * (eps + 3.0)) / half
+    lo[rising, 1] = L * np.sqrt(a[rising] * e[rising])
+    hi[rising, 1] = np.where(d[rising] > 0.0, math.pi, 0.0)
+    ac, dc = a[crit] * L, d[crit]
+    ratio = dc / -ac  # d/c = 1 + 2/c
+    # the root has (t - atan t)/t = d/2, and (t - atan t)/t = t^2/3 + O(t^4)
+    x0[crit, 1] = ac * np.sqrt(1.5 * dc)
 
     def fdf(x):
         f, df = phase_fdf(x)
-        q = x[:, 0]
-        v = q * half
-        th = np.tanh(v)
-        f[:, 0] = np.where(even, g + q * th, f[:, 0])
-        df[:, 0] = np.where(even, th + v * (1.0 - th * th), df[:, 0])
-        if any_odd:
-            v = x[:, 1] * half
+        q = x[even, 0]
+        ct = 1.0 / np.tanh(q * half)
+        f[even, 0] = q - ae * ct
+        df[even, 0] = 1.0 + ae * half * (ct * ct - 1.0)
+        if len(odd):
+            v = x[odd, 1] * half
             th = np.tanh(v)
             h = v / th - 1.0
-            small = odd & (v <= 1.0)
+            small = v <= 1.0
             if np.count_nonzero(small):
                 vs = v[small]
                 h[small] = vs * vs * vs * _poly(_V_COSH_MINUS_SINH, vs * vs) / np.sinh(vs)
-            f[:, 1] = np.where(odd, e + h / half, f[:, 1])
-            df[:, 1] = np.where(odd, (th - v * (1.0 - th * th)) / (th * th), df[:, 1])
+            f[odd, 1] = ao + h / half
+            df[odd, 1] = (th - v * (1.0 - th * th)) / (th * th)
+        if len(crit):
+            xc = x[crit, 1]
+            t = xc / ac
+            s = t / (1.0 + np.sqrt(1.0 + t * t))
+            s2 = s * s
+            f[crit, 1] = xc * ratio + 2.0 * t * s2 + 4.0 * s * s2 * _poly(_T_MINUS_ATAN, s2)
         return f, df
 
     return x0, lo, hi, fdf
@@ -385,56 +385,31 @@ def _levels(m: float, L: float, gammas, count: int):
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
     g = np.array(gammas, dtype=float)
+    if np.count_nonzero(np.isnan(g)):
+        raise InvalidArgumentError("gamma must not be NaN")
     width = max(count, 2)  # the wall pair is ordered even for count 1
-    osc = np.ones((len(g), width), dtype=bool)
-    osc[:, count:] = False
     with np.errstate(all="ignore"):
-        c = e = g * L
-        crit, walls, plain = (), 0, np.count_nonzero(c > _ZERO_MODE_SNAP)
-        if plain < len(g):
-            e = g + 2.0 / L
-            # Below (gamma + 2/L) L = -40 tanh(|e| L/2) rounds to 1, so both
-            # wall states are q = |gamma|, and levels 2 and up oscillate.
-            neg = pair = deep = (e * L < -40.0) & (g > -np.inf)
-            if plain + np.count_nonzero(deep) == len(g):
-                osc &= np.arange(width) >= 2 * deep[:, None]
-            else:
-                # only the other rows can be NaN, snap to a zero mode, stand
-                # for the Dirichlet wall at -inf or bind wall states to search
-                if np.count_nonzero(np.isnan(g)):
-                    raise InvalidArgumentError("gamma must not be NaN")
-                g[g == -np.inf] = np.inf  # the same extension as +inf
-                c, e = g * L, g + 2.0 / L
-                snap0, snap2 = np.abs(c) <= _ZERO_MODE_SNAP, np.abs(e) * L <= _ZERO_MODE_SNAP
-                if np.count_nonzero(snap0 | snap2):
-                    g[snap0], g[snap2] = 0.0, -2.0 / L
-                    c, e = g * L, g + 2.0 / L
-                neg = c < 0
-                pair = neg & (e < 0)  # both wall states
-                # the wall states and zero modes lie below every oscillatory level
-                osc &= np.arange(width) >= (neg * (1 + (e <= 0)) + snap0)[:, None]
-                if np.count_nonzero(neg) > np.count_nonzero(pair):
-                    crit = np.flatnonzero(neg & (e > 0) & (e * L <= 0.25))
-                deep = pair & (e * L < -40.0)
-            walls = np.count_nonzero(neg)
-            searched = walls - np.count_nonzero(deep)
-        equations = _phase(L, g, c, e, width, crit)
+        g[g == -np.inf] = np.inf  # the same extension as +inf
+        c, e = g * L, g + 2.0 / L
+        snap0, snap2 = np.abs(c) <= _ZERO_MODE_SNAP, np.abs(e) * L <= _ZERO_MODE_SNAP
+        if np.count_nonzero(snap0 | snap2):
+            g[snap0], g[snap2] = 0.0, -2.0 / L
+            c, e = g * L, g + 2.0 / L
+        neg, pair = c < 0, e < 0
+        equations = _phase(c, width)
+        walls = np.count_nonzero(neg)
         if walls:
-            wall = np.zeros(osc.shape, dtype=bool)
-            wall[:, 0], wall[:, 1] = neg, pair
-            if searched:
-                equations = _with_walls(L, g, e, neg & ~deep, pair & ~deep, equations)
-                x = _newton(*equations, ~(osc | (wall & ~deep[:, None])))
-            else:
-                x = _newton(*equations, ~osc)
-            k = np.where(osc, x / L, np.where(wall, x, 0.0))
-            k[deep, :2] = -g[deep, None]
-        else:
-            k = np.where(osc, _newton(*equations, ~osc) / L, 0.0)
+            equations = _with_walls(L, g, e, neg, pair, equations)
+        x = _newton(*equations)
+        # below the oscillatory levels: the even wall state (c < 0) or the
+        # constant zero mode (c = 0), then the odd wall state (c < -2) or the
+        # linear zero mode (c = -2); the zero modes are x = 0
+        wall = np.arange(width) < (neg * 1 + pair)[:, None]
+        k = x / L
+        if walls:
+            np.copyto(k, x, where=wall)
         energy = k * k / (2.0 * m)
-    branch = 2 - 2 * osc  # oscillatory 0, zero mode 2
-    if walls:
-        branch[wall] = 1
+    branch = (x == 0.0) * 2 + wall  # oscillatory 0, evanescent 1, zero mode 2
     overflow = np.isinf(energy)
     if np.count_nonzero(overflow):
         i, j = np.argwhere(overflow)[0]
@@ -442,11 +417,10 @@ def _levels(m: float, L: float, gammas, count: int):
             f"the {_BRANCHES[branch[i, j]]} level with wavenumber {k[i, j]} at gamma={gammas[i]} "
             "has an energy beyond double precision"
         )
-    parity = np.zeros(osc.shape, dtype=int)
+    parity = np.zeros(x.shape, dtype=int)
     parity[:, 1::2] = 1
     if walls:
-        energy[wall] *= -1.0
-    if walls and searched:
+        np.negative(energy, out=energy, where=wall)
         # rounding can swap the deeply bound wall pair
         swap = pair & (energy[:, 1] < energy[:, 0])
         if np.count_nonzero(swap):
@@ -481,13 +455,11 @@ def solve_spectrum(spec: BoxSpec, count: int) -> list[Eigenstate1D]:
     negative-energy states is exact: none for gamma >= 0, one for
     -2/L <= gamma < 0, two for gamma < -2/L.
     """
-    L, states = spec.L, []
-    rows = [a.tolist()[0] for a in _levels(spec.m, L, [spec.gamma], count)]
-    for index, (w, energy, branch, parity) in enumerate(zip(*rows)):
-        branch, parity = _BRANCHES[branch], _PARITIES[parity]
-        log_norm = -0.5 * _density_integrals(L, branch, parity, w)[0]
-        states.append(Eigenstate1D(spec, index, parity, branch, w, energy, math.exp(log_norm), log_norm))
-    return states
+    rows = [a.tolist()[0] for a in _levels(spec.m, spec.L, [spec.gamma], count)]
+    return [
+        Eigenstate1D(spec, index, _PARITIES[parity], _BRANCHES[branch], w, energy)
+        for index, (w, energy, branch, parity) in enumerate(zip(*rows))
+    ]
 
 
 def eval_wavefunction(state: Eigenstate1D, x):

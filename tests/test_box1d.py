@@ -236,6 +236,8 @@ def test_oscillatory_levels_match_phase_equation_oracle():
     gammas += [sign * 10.0**e for e in (13, 16, 20, 50, 100, 150, 200, 300) for sign in (1, -1)]
     # the wall states of gamma <= -1e200 have energies beyond double precision
     gammas = [g for g in gammas if g > -1e200]
+    # just below gamma = 0, where the even wall state is born
+    gammas += [-(10.0**-e) for e in (3, 6, 9, 11)]
     # gamma = -2/L, where level 1 turns from oscillatory to wall-bound, is a
     # small difference of large terms on both sides
     near = [-2.0 + sign * delta for delta in (1e-3, 1e-6, 1e-9, 1e-11) for sign in (1, -1)]
