@@ -73,6 +73,7 @@ _V_COSH_MINUS_SINH = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 1
 # tan w ~ w (1 - _ALPHA w^2) / (1 - 4 w^2/pi^2), exact at w = 0 and pi/2
 _ALPHA = 4.0 * (1.0 - 8.0 / math.pi**2) / math.pi**2
 _P16 = 16.0 / math.pi**2
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: a double into two 26-bit halves
 _BRANCHES = ("oscillatory", "evanescent", "zero-mode")
 _PARITIES = ("even", "odd")
 
@@ -282,22 +283,43 @@ def _phase(c, width):
     return b + np.copysign(w + w, c), lo, lo + math.pi, fdf
 
 
-def _with_walls(L, g, e, neg, pair, phase):
+def _plus_two(g, L: float):
+    """gamma L + 2 for the rows gamma, correctly rounded where -4 <= gamma L <= -1.
+
+    Dekker's two-product splits gamma L exactly into fl(gamma L) + r, and by
+    Sterbenz's lemma fl(gamma L) + 2 is exact on that range, so only the
+    final sum rounds.  Both factors are scaled to mantissas in [1/2, 1)
+    first, so no split overflows and r is exact.
+    """
+    mg, eg = np.frexp(g)
+    ml, el = math.frexp(L)
+    p = mg * ml
+    t = mg * _SPLIT
+    gh = t - (t - mg)
+    gl = mg - gh
+    t = ml * _SPLIT
+    lh = t - (t - ml)
+    ll = ml - lh
+    r = ((gh * lh - p) + gh * ll + gl * lh) + gl * ll
+    return (np.ldexp(p, eg + el) + 2.0) + np.ldexp(r, eg + el)
+
+
+def _with_walls(L, g, e, d, neg, pair, phase):
     """``phase`` with the levels that gamma < 0 changes: the wall states q in
     column 0 (rows ``neg``) and column 1 (rows ``pair``), and level 1 of the
     other rows of ``neg``.
 
     With v = qL/2, the even wall state solves q + gamma coth v = 0,
     increasing and concave on [|gamma|, |gamma| coth(|gamma| L/2)], and the
-    odd one (gamma + 2/L) + (2/L)(v coth v - 1) = 0, increasing and convex
-    on [|gamma| tanh(|e| L/2), |gamma|], e = gamma + 2/L.  Below
-    (gamma + 2/L) L = -40 both brackets round to the point |gamma|, so that
+    odd one e + (2/L)(v coth v - 1) = 0, e = gamma + 2/L = d/L, increasing
+    and convex on [|gamma| tanh(|e| L/2), |gamma|].  Below d = gamma L + 2
+    = -40 both brackets round to the point |gamma|, so that
     is both roots.  With y = |gamma| L/2 and eps = |e| L/2 the even state
     starts from v^2 = y (y + 1) and the odd one from v^2 = eps (eps + 3),
     both right to leading order for small and for large arguments.
 
     Level 1 at -2 < c < 0, c = gamma L, falls from its trivial root x = 0 to
-    its minimum at x = sqrt(|c| d), d = (gamma + 2/L) L, and is increasing
+    its minimum at x = sqrt(|c| d), and is increasing
     and convex beyond it, so its bracket starts there; at c = -2 it is the
     linear zero mode x = 0.  For d <= 1/4 it is written x d/c + 2 (t - atan t),
     t = x/|c|, its small difference taken apart: with s = t/(1 + sqrt(1 + t^2)),
@@ -305,7 +327,7 @@ def _with_walls(L, g, e, neg, pair, phase):
     a power series in s^2 with s <= 1/3 at the root.
     """
     x0, lo, hi, phase_fdf = phase
-    half, a, d = 0.5 * L, -g, e * L
+    half, a = 0.5 * L, -g
     for j, rows in enumerate((neg, pair)):
         np.copyto(lo[:, j], a, where=rows)
         np.copyto(hi[:, j], a, where=rows)
@@ -374,11 +396,11 @@ def _levels(m: float, L: float, gammas, count: int):
 
     Near c = -2 the odd level, oscillatory above and wall-bound below, is
     the small difference of large terms.  Both sides are taken analytically,
-    with d = c + 2 formed as (gamma + 2/L) L and a power series where the
-    difference is small:
+    with d = c + 2 correctly rounded there (``_plus_two``), e = d/L, and a
+    power series where the difference is small:
 
     * above, x - 2 atan(t) = x d/c + 2 (t - atan t), t = x/|c|;
-    * below, gamma + q coth(v) = (gamma + 2/L) + (2/L)(v coth v - 1), v = qL/2.
+    * below, gamma + q coth(v) = e + (2/L)(v coth v - 1), v = qL/2.
 
     Every level is solved on its own, so its root is the same in any batch.
     """
@@ -391,15 +413,21 @@ def _levels(m: float, L: float, gammas, count: int):
     with np.errstate(all="ignore"):
         g[g == -np.inf] = np.inf  # the same extension as +inf
         c, e = g * L, g + 2.0 / L
-        snap0, snap2 = np.abs(c) <= _ZERO_MODE_SNAP, np.abs(e) * L <= _ZERO_MODE_SNAP
+        d = e * L
+        near = (c >= -4.0) & (c <= -1.0)
+        if np.count_nonzero(near):
+            d[near] = _plus_two(g[near], L)
+            e[near] = d[near] / L
+        snap0, snap2 = np.abs(c) <= _ZERO_MODE_SNAP, np.abs(d) <= _ZERO_MODE_SNAP
         if np.count_nonzero(snap0 | snap2):
             g[snap0], g[snap2] = 0.0, -2.0 / L
-            c, e = g * L, g + 2.0 / L
+            c[snap0], c[snap2] = 0.0, g[snap2] * L
+            e[snap2] = d[snap2] = 0.0
         neg, pair = c < 0, e < 0
         equations = _phase(c, width)
         walls = np.count_nonzero(neg)
         if walls:
-            equations = _with_walls(L, g, e, neg, pair, equations)
+            equations = _with_walls(L, g, e, d, neg, pair, equations)
         x = _newton(*equations)
         # below the oscillatory levels: the even wall state (c < 0) or the
         # constant zero mode (c = 0), then the odd wall state (c < -2) or the

@@ -351,19 +351,17 @@ def cmd_dirac(config: RunConfig):
     m, c = params["mass"], params["light_speed"]
     rows = []
     for _, eta in _arctan_samples(params, "eta", 1.0):
-        wall = dirac_wall.EtaWall(eta, m=m, c=c)
-        at_zero = dirac_wall.dispersion_2p1(wall, 0.0)
-        at_one = dirac_wall.dispersion_2p1(wall, 1.0)
-        slope = at_one.decay_rate - at_zero.decay_rate
-        if slope > 0.0 or slope < 0.0:
-            threshold = -at_zero.decay_rate / slope / (m * c)
-            side = "above" if slope > 0.0 else "below"
-        elif at_zero.decay_rate > 0.0:
+        dirac_wall.EtaWall(eta, m=m, c=c)  # rejects a NaN eta and a bad m or c
+        # with p in units of m c, E/(m c^2) = sin(phi) - cos(phi) p, and the
+        # decay rate/(m c) = cos(phi) + sin(phi) p changes sign at p = -cos/sin
+        sin_phi, cos_phi = dirac_wall._mixing_parts(eta)
+        if sin_phi != 0.0:
+            threshold, side = -cos_phi / sin_phi, "above" if sin_phi > 0.0 else "below"
+        elif cos_phi > 0.0:
             threshold, side = -math.inf, "all"
         else:
             threshold, side = math.inf, "none"
-        speed, potential = at_zero.speed / c, at_zero.chemical_potential / (m * c * c)
-        rows.append([eta, speed, potential, threshold, side])
+        rows.append([eta, abs(cos_phi), sin_phi, threshold, side])
     header = [
         "eta",
         "speed_over_c",

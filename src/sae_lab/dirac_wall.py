@@ -18,9 +18,9 @@ Three related constructions live here:
   decay rate cos(phi) m c + sin(phi) p, drift speed |cos(phi)| c and
   chemical potential sin(phi) m c^2.  The tan-half-angle parameterization
   makes the eta = 0 and eta = +-inf limits exact.  A separate numeric route
-  solves the two-component bound-state equations directly and recovers the
-  drift speed and chemical potential from finite differences of E(p),
-  serving as an oracle for the closed forms.
+  solves the two-component bound-state equations, a 2x2 linear system, and
+  recovers the drift speed and chemical potential from finite differences
+  of E(p), serving as an oracle for the closed forms.
 
 Sign convention for the 1-d heavy-fermion map: the scalar Robin parameter
 refers to a left wall written as -gamma psi(0) + psi'(0) = 0 (the interval
@@ -32,17 +32,11 @@ values for which the relativistic wall binds a state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import root
 
-from .errors import (
-    InvalidArgumentError,
-    NotSelfAdjointError,
-    SolverFailureError,
-    UnsupportedConfigurationError,
-)
+from .errors import InvalidArgumentError, NotSelfAdjointError
 
 __all__ = [
     "ALPHA_1D",
@@ -137,15 +131,14 @@ class Lambda3D:
 
 @dataclass(frozen=True)
 class EtaWall:
-    """Domain-wall extension parameter: scalar eta0 plus an optional 3-vector.
+    """Domain-wall extension parameter eta0 = tan(phi/2) with the fermion's m and c.
 
-    eta0 may be +-inf (the limits are handled exactly).  The vector part is
-    only meaningful for the (4+1)-d wall and must be zero for the dispersion
-    formulas implemented here.
+    eta0 may be +-inf (the limits are handled exactly).  There is no vector
+    part: the 3-vector the (4+1)-d wall also admits breaks rotation
+    invariance along the wall, and no dispersion here uses it.
     """
 
     eta0: float
-    eta_vec: np.ndarray = field(default_factory=lambda: np.zeros(3))
     m: float = 1.0
     c: float = 1.0
 
@@ -157,10 +150,6 @@ class EtaWall:
         if math.isnan(eta0):
             raise InvalidArgumentError("eta0 must not be NaN")
         object.__setattr__(self, "eta0", eta0)
-        vec = np.asarray(self.eta_vec, dtype=float)
-        if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-            raise InvalidArgumentError("eta_vec must be a finite 3-vector")
-        object.__setattr__(self, "eta_vec", vec)
         if not (math.isfinite(self.m) and self.m > 0):
             raise InvalidArgumentError(f"mass must be positive and finite, got {self.m}")
         if not (math.isfinite(self.c) and self.c > 0):
@@ -355,14 +344,6 @@ def _dispersion_core(wall: EtaWall, p: float, branch: int) -> DispersionPoint:
     )
 
 
-def _require_scalar_wall(wall: EtaWall):
-    if np.any(wall.eta_vec != 0.0):
-        raise UnsupportedConfigurationError(
-            "anisotropic wall parameters (eta_vec != 0) break rotation invariance "
-            "and have no implemented dispersion"
-        )
-
-
 def dispersion_2p1(wall: EtaWall, p: float) -> DispersionPoint:
     """Dispersion of the (2+1)-d domain-wall mode at signed momentum p.
 
@@ -377,7 +358,6 @@ def dispersion_2p1(wall: EtaWall, p: float) -> DispersionPoint:
     """
     if not math.isfinite(p):
         raise InvalidArgumentError(f"momentum must be finite, got {p}")
-    _require_scalar_wall(wall)
     return _dispersion_core(wall, p, branch=0)
 
 
@@ -392,19 +372,24 @@ def dispersion_4p1(wall: EtaWall, p_mag: float, branch: int) -> DispersionPoint:
         raise InvalidArgumentError(f"momentum magnitude must be finite and >= 0, got {p_mag}")
     if branch not in (+1, -1):
         raise InvalidArgumentError(f"branch must be +1 or -1, got {branch}")
-    _require_scalar_wall(wall)
     point = _dispersion_core(wall, branch * p_mag, branch=branch)
     # report the magnitude, not the signed reduction variable
     return replace(point, p=p_mag)
 
 
 def _solve_wall_state(eta: float, m: float, c: float, p: float):
-    """(E, decay rate) of the bound two-component wall state by root-finding.
+    """(E, decay rate) of the bound two-component wall state by a linear solve.
 
     The exponentially decaying transverse profile turns the wave equation
     into two scalar conditions on the amplitude pair; the wall condition
     fixes the amplitude ratio to eta (or the pure upper amplitude at
-    eta = +-inf).
+    eta = +-inf).  With the amplitudes fixed the conditions are linear in
+    E and kc = c * decay,
+
+        a_up E + a_lo kc = p c a_up + m c^2 a_lo
+        a_lo E - a_up kc = m c^2 a_up - p c a_lo,
+
+    with determinant -(a_up^2 + a_lo^2), never zero.
     """
     if math.isinf(eta):
         a_up, a_lo = 1.0, 0.0
@@ -412,32 +397,15 @@ def _solve_wall_state(eta: float, m: float, c: float, p: float):
         a_up, a_lo = 1.0, 1.0 / eta
     else:
         a_up, a_lo = eta, 1.0
-
-    mc2 = m * c * c
-
-    def equations(x):
-        E, kc = x
-        return [
-            p * c * a_up + (mc2 - kc) * a_lo - E * a_up,
-            (mc2 + kc) * a_up - p * c * a_lo - E * a_lo,
-        ]
-
-    sol = root(equations, x0=[mc2, 0.0])
-    # judge the solution by its residual, not the reported flag: with the
-    # step-based stopping rule the solver can land on the root to rounding
-    # accuracy and still report stagnation
-    resid = np.max(np.abs(equations(sol.x)))
-    scale = max(1.0, abs(mc2), abs(p * c))
-    if resid > 1e-10 * scale:
-        raise SolverFailureError(
-            f"wall-state root search failed (residual {resid:.3e}): {sol.message}"
-        )
-    E, kc = sol.x
+    mc2, pc = m * c * c, p * c
+    lhs = np.array([[a_up, a_lo], [a_lo, -a_up]])
+    rhs = np.array([pc * a_up + mc2 * a_lo, mc2 * a_up - pc * a_lo])
+    E, kc = np.linalg.solve(lhs, rhs)
     return float(E), float(kc / c)
 
 
 def numeric_oracle(wall: EtaWall, p: float) -> DispersionPoint:
-    """Independent dispersion point: root-found (E, decay rate) plus finite differences.
+    """Independent dispersion point: solved (E, decay rate) plus finite differences.
 
     The drift speed is |dE/dp| from a Richardson-extrapolated centered
     difference with a generous step (the step cancels exactly for a linear
@@ -447,7 +415,6 @@ def numeric_oracle(wall: EtaWall, p: float) -> DispersionPoint:
     """
     if not math.isfinite(p):
         raise InvalidArgumentError(f"momentum must be finite, got {p}")
-    _require_scalar_wall(wall)
     eta, m, c = wall.eta0, wall.m, wall.c
     energy, decay = _solve_wall_state(eta, m, c, p)
     dp = max(1.0, abs(p)) * 0.25

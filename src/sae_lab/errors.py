@@ -27,10 +27,6 @@ class NotSelfAdjointError(LabError, ValueError):
     """A boundary-condition object fails its self-adjointness checks."""
 
 
-class UnsupportedConfigurationError(LabError, ValueError):
-    """A configuration the theory allows but this package does not implement."""
-
-
 class DegenerateStateError(LabError, RuntimeError):
     """An operation requires a nondegenerate eigenstate and did not get one."""
 

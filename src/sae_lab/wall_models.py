@@ -90,19 +90,26 @@ def square_well_parameters(gamma: float, epsilon: float, m: float) -> WellApprox
             f"interior wavenumber q = {q} <= 0; epsilon = {epsilon} is too wide "
             f"for gamma = {gamma}"
         )
-    return WellApprox(epsilon, q * q / (2.0 * m), q, gamma)
+    V0 = 0.5 * (q * q / m)  # 2 m would overflow for m near the largest double
+    if not math.isfinite(V0):
+        raise InvalidArgumentError(
+            f"the well is too deep for double precision: q = {q}, V0 = q^2/2m = {V0}"
+        )
+    return WellApprox(epsilon, V0, q, gamma)
 
 
 def effective_gamma(well: WellApprox, m: float) -> float:
     """The wall parameter the well actually produces at its finite width.
 
     gamma_eff = q*cot(q*epsilon) with q = sqrt(2 m V0).  Raises when q*epsilon
-    sits on a pole of the cotangent.
+    overflows or sits on a pole of the cotangent.
     """
     if not (math.isfinite(m) and m > 0):
         raise InvalidArgumentError(f"mass must be positive and finite, got {m}")
-    q = math.sqrt(2.0 * m * well.V0)
+    q = math.sqrt(2.0 * (m * well.V0))
     phase = q * well.epsilon
+    if not math.isfinite(phase):
+        raise InvalidArgumentError(f"q*epsilon = {phase} is not finite; no effective gamma")
     s = math.sin(phase)
     if abs(s) < 1e-12:
         raise SingularConfigurationError(

@@ -253,6 +253,29 @@ def test_oscillatory_levels_match_phase_equation_oracle():
                 assert k[row, n] == pytest.approx(float(want), rel=rel)
 
 
+def test_levels_near_linear_zero_mode_off_unit_length():
+    # at L != 1, gamma + 2/L carries the rounding of 2/L, which near
+    # gamma = -2/L is large against the difference itself
+    cases = [(1.2606927674896788, -1.5864293439116408)]
+    cases += [
+        (L, -(2.0 / L) * (1.0 + sign * delta))
+        for L in (0.37, 3.3)
+        for delta in (1e-10, 1e-11)
+        for sign in (1, -1)
+    ]
+    for L, gamma in cases:
+        _, energy, branch, parity = box1d._levels(1.0, L, [gamma], 5)
+        with mpmath.workdps(40):
+            c = mpmath.mpf(gamma) * mpmath.mpf(L)  # exact: 106 bits
+        for n in range(5):
+            if branch[0, n] == 0:
+                want = _oracle_kL(c, n) ** 2 / (2 * L * L)
+            else:
+                assert branch[0, n] == 1
+                want = -_oracle_qL(c, box1d._PARITIES[parity[0, n]]) ** 2 / (2 * L * L)
+            assert energy[0, n] == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
 def test_orthonormality_via_quadrature():
     states = solve_spectrum(BoxSpec(1.0, 1.0, 1.0), 4)
     for i, si in enumerate(states):

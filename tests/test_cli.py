@@ -4,7 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +350,26 @@ def test_dirac_scan_limits(capsys):
     assert float(rows[0][3]) == pytest.approx(-0.75, rel=1e-12)
 
 
+def test_dirac_rows_do_not_depend_on_units(capsys):
+    # every column is in units of m and c, so they drop out of the rows
+    rc, plain, _ = run_cli(["dirac", "--eta-steps", "41"], capsys)
+    assert rc == 0
+    rc, scaled, _ = run_cli(["dirac", "--eta-steps", "41", "--mass", "2.5", "--light-speed", "3"], capsys)
+    assert rc == 0
+    assert scaled == plain
+
+
+def test_dirac_threshold_at_extreme_eta(capsys):
+    # sin(phi) = 2e-20 and 2e-308 are tiny but not zero: the threshold is
+    # finite, -cos(phi)/sin(phi)
+    for eta, want in (("1e-20", -5e19), ("1e308", 5e307)):
+        rc, out, _ = run_cli(["dirac", "--eta", eta], capsys)
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0][3]) == pytest.approx(want, rel=1e-15)
+        assert rows[0][4] == "above"
+
+
 def test_dirac_json_encodes_infinities(capsys):
     rc, out, _ = run_cli(["dirac", "--eta-steps", "3", "--format", "json"], capsys)
     assert rc == 0
@@ -400,6 +424,14 @@ def test_missing_subcommand_is_usage_error(capsys):
         # |gamma| h beyond 2^52 is the Dirichlet wall, asked for as --gamma inf
         (["dot", "--shape", "disk", "--resolution", "16", "--gamma", "1e300"], 2),
         (["dot", "--shape", "interval", "--resolution", "8", "--gamma=-1e300"], 2),
+        # q = pi/(2 eps) or V0 = q^2/2m overflows
+        (["wall", "--epsilons", "1e-320"], 2),
+        (["wall", "--mass", "5e-324", "--epsilons", "6.0416529135347695e-59"], 2),
+        # q epsilon overflows
+        (["wall", "--gamma=-282380978", "--epsilons", "1e300"], 2),
+        # m c underflows to 0, but no row depends on m or c
+        (["dirac", "--mass", "1e-300", "--light-speed", "1e-300", "--eta", "2"], 0),
+        (["dirac", "--eta", "nan"], 2),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit{value}",
 )
@@ -420,6 +452,29 @@ _WIDE = st.one_of(
 )
 
 
+def _clean_exit(args):
+    """(exit code, stdout) of one in-process run that must end in exit 0 or 2:
+    no warning, no escaped exception, an error line alone on exit 2 and
+    data alone on exit 0."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a library warning would reach stderr outside pytest
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(args)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert rc in (0, 2)
+    if rc == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == ""
+    return rc, out
+
+
+def _float_flags(**flags):
+    return [f"--{name.replace('_', '-')}={value!r}" for name, value in flags.items() if value is not None]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     mass=_WIDE,
@@ -432,25 +487,13 @@ _WIDE = st.one_of(
     fmt=st.sampled_from(["csv", "json"]),
 )
 def test_spectrum_argv_ends_in_a_clean_exit(mass, length, gamma, gamma_min, gamma_max, steps, raw, fmt):
-    args = ["spectrum", f"--mass={mass!r}", f"--length={length!r}", f"--gamma-steps={steps}"]
-    args += ["--format", fmt]
-    for flag, value in (("--gamma", gamma), ("--gamma-min", gamma_min), ("--gamma-max", gamma_max)):
-        if value is not None:
-            args.append(f"{flag}={value!r}")
+    args = ["spectrum", f"--gamma-steps={steps}", "--format", fmt]
+    args += _float_flags(mass=mass, length=length, gamma=gamma, gamma_min=gamma_min, gamma_max=gamma_max)
     if raw:
         args.append("--raw-units")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # a library warning would reach stderr outside pytest
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(args)
-    out, err = out.getvalue(), err.getvalue()
-    assert not caught, [str(w.message) for w in caught]
-    assert rc in (0, 2)
+    rc, out = _clean_exit(args)
     if rc == 2:
-        assert out == "" and err.startswith("error: ")
         return
-    assert err == ""
     if raw:
         if fmt == "csv":
             rows = [[float(v) for v in row] for row in parse_csv(out)[1]]
@@ -459,3 +502,53 @@ def test_spectrum_argv_ends_in_a_clean_exit(mass, length, gamma, gamma_min, gamm
         for row_gamma, *energies in rows:
             alone = box1d.solve_spectrum(box1d.BoxSpec(mass, length, row_gamma), 5)
             assert energies == [s.energy for s in alone]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mass=_WIDE,
+    light_speed=_WIDE,
+    eta=st.none() | _WIDE,
+    eta_min=st.none() | _WIDE,
+    eta_max=st.none() | _WIDE,
+    steps=st.integers(min_value=-1, max_value=64),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_dirac_argv_ends_in_a_clean_exit(mass, light_speed, eta, eta_min, eta_max, steps, fmt):
+    args = ["dirac", f"--eta-steps={steps}", "--format", fmt]
+    _clean_exit(args + _float_flags(
+        mass=mass, light_speed=light_speed, eta=eta, eta_min=eta_min, eta_max=eta_max
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=_WIDE,
+    k_min=_WIDE,
+    k_max=_WIDE,
+    steps=st.integers(min_value=-1, max_value=64),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_scatter_argv_ends_in_a_clean_exit(gamma, k_min, k_max, steps, fmt):
+    args = ["scatter", f"--k-steps={steps}", "--format", fmt]
+    _clean_exit(args + _float_flags(gamma=gamma, k_min=k_min, k_max=k_max))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=_WIDE,
+    mass=_WIDE,
+    epsilons=st.lists(_WIDE, min_size=1, max_size=4),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_wall_argv_ends_in_a_clean_exit(gamma, mass, epsilons, fmt):
+    args = ["wall", "--epsilons=" + ",".join(map(repr, epsilons)), "--format", fmt]
+    _clean_exit(args + _float_flags(gamma=gamma, mass=mass))
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, sae_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ def test_neumann_target_is_exact():
     for eps in (0.02, 0.01, 0.005, 0.0025):
         w = square_well_parameters(0.0, eps, 1.0)
         assert abs(effective_gamma(w, 1.0)) <= 1e-10
+
+
+def test_effective_gamma_does_not_depend_on_mass():
+    # V0 = q^2/2m carries the mass and q = sqrt(2 m V0) takes it out again,
+    # up to the largest double, where 2 m overflows
+    want = effective_gamma(square_well_parameters(2.0, 0.01, 1.0), 1.0)
+    for m in (1e-300, 3.0, 1e300, sys.float_info.max):
+        assert effective_gamma(square_well_parameters(2.0, 0.01, m), m) == pytest.approx(want, rel=1e-14)
 
 
 def test_too_wide_well_rejected():
