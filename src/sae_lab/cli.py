@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import box1d, dirac_wall, hetero, qdot_fd, wall_models
+from . import box1d, dirac_wall, hetero, wall_models
 from .errors import (
     DegenerateStateError,
     GridIOError,
@@ -191,6 +191,8 @@ def cmd_spectrum(config: RunConfig):
 
 
 def _dot_grid(params: dict):
+    from . import qdot_fd
+
     try:
         if params.get("grid"):
             return qdot_fd.read_grid(params["grid"]), {"grid_file": params["grid"]}
@@ -222,6 +224,8 @@ def _dot_grid(params: dict):
 
 
 def cmd_dot(config: RunConfig):
+    from . import qdot_fd  # only dot loads scipy
+
     params = config.params
     grid, described = _dot_grid(params)
     gamma, m, count = params["gamma"], params["mass"], params["count"]

@@ -315,17 +315,25 @@ def pauli_gamma_matrix(wall: Lambda3D, m: float = 1.0, c: float = 1.0) -> np.nda
 
 
 def _mixing_parts(eta: float):
-    """(sin phi, cos phi) for eta = tan(phi/2), exact at 0 and +-inf.
+    """(sin phi, cos phi) for eta = tan(phi/2), exact at 0, +-1 and +-inf.
 
-    For |eta| > 1 the reciprocal 1/eta is used, which makes the eta -> 1/eta
-    reflection symmetry (same sin, opposite cos) hold bit-exactly.
+    cos phi = (1 - eta^2)/(1 + eta^2) takes its numerator as
+    (1 - eta)(1 + eta), which does not cancel near |eta| = 1.  For |eta| > 1
+    sin phi is formed from r = 1/eta, and so is cos phi for |eta| > 2, where
+    eta^2 could overflow; so the eta -> 1/eta reflection (same sin, opposite
+    cos) holds bit-exactly there.  For 1 < |eta| <= 2, cos phi is formed
+    from eta itself, since rounding r near 1 would cost ~12 ulp; there the
+    reflection holds to a few ulp, and bit-exactly for sin phi.
     """
     if math.isinf(eta):
         return 0.0, -1.0
-    if abs(eta) > 1.0:
-        r = 1.0 / eta
-        return 2.0 * r / (1.0 + r * r), -(1.0 - r * r) / (1.0 + r * r)
-    return 2.0 * eta / (1.0 + eta * eta), (1.0 - eta * eta) / (1.0 + eta * eta)
+    if abs(eta) <= 1.0:
+        return 2.0 * eta / (1.0 + eta * eta), (1.0 - eta) * (1.0 + eta) / (1.0 + eta * eta)
+    r = 1.0 / eta
+    sin_phi = 2.0 * r / (1.0 + r * r)
+    if abs(eta) > 2.0:
+        return sin_phi, -(1.0 - r) * (1.0 + r) / (1.0 + r * r)
+    return sin_phi, -(eta - 1.0) * (eta + 1.0) / (1.0 + eta * eta)
 
 
 def _dispersion_core(wall: EtaWall, p: float, branch: int) -> DispersionPoint:

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+# Entries up to 2**510 in modulus keep every bilinear below the largest double.
+_MAX_ENTRY = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -117,18 +119,38 @@ class ScatterSolution:
     k_right: complex
 
 
+_IDENTITIES = (
+    "conj(g11) g22 - conj(g21) g12 = 1",
+    "conj(g12) g21 - conj(g22) g11 = -1",
+    "conj(g11) g21 - conj(g21) g11 = 0",
+    "conj(g12) g22 - conj(g22) g12 = 0",
+)
+
+
+def _all_finite(g: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(g.real) & np.isfinite(g.imag)))
+
+
+def _in_range(g: np.ndarray) -> bool:
+    return _all_finite(g) and bool(np.max(np.abs(g)) <= _MAX_ENTRY)
+
+
 def bilinear_residuals(g) -> list:
     """The four conserved bilinears minus their required values.
 
     Returns (description, complex residual) pairs; a valid junction matrix
-    has every residual at rounding scale.
+    has every residual at rounding scale.  The residuals of a matrix with an
+    entry that is not finite or exceeds 2**510 in modulus are not formed and
+    read nan.
     """
     g = np.asarray(g, dtype=complex)
+    if not _in_range(g):
+        return [(name, complex(math.nan, math.nan)) for name in _IDENTITIES]
     return [
-        ("conj(g11) g22 - conj(g21) g12 = 1", np.conj(g[0, 0]) * g[1, 1] - np.conj(g[1, 0]) * g[0, 1] - 1.0),
-        ("conj(g12) g21 - conj(g22) g11 = -1", np.conj(g[0, 1]) * g[1, 0] - np.conj(g[1, 1]) * g[0, 0] + 1.0),
-        ("conj(g11) g21 - conj(g21) g11 = 0", np.conj(g[0, 0]) * g[1, 0] - np.conj(g[1, 0]) * g[0, 0]),
-        ("conj(g12) g22 - conj(g22) g12 = 0", np.conj(g[0, 1]) * g[1, 1] - np.conj(g[1, 1]) * g[0, 1]),
+        (_IDENTITIES[0], np.conj(g[0, 0]) * g[1, 1] - np.conj(g[1, 0]) * g[0, 1] - 1.0),
+        (_IDENTITIES[1], np.conj(g[0, 1]) * g[1, 0] - np.conj(g[1, 1]) * g[0, 0] + 1.0),
+        (_IDENTITIES[2], np.conj(g[0, 0]) * g[1, 0] - np.conj(g[1, 0]) * g[0, 0]),
+        (_IDENTITIES[3], np.conj(g[0, 1]) * g[1, 1] - np.conj(g[1, 1]) * g[0, 1]),
     ]
 
 
@@ -136,8 +158,9 @@ def validate_interface(entries, atol: float = _ATOL) -> InterfaceMatrix:
     """Check a 2x2 complex matrix for probability-conserving junction form.
 
     Accepts exactly the matrices of the form exp(i theta) times a real
-    matrix with determinant 1.  The tolerance is absolute on matrices of
-    entry scale ~1 and is scaled up for larger entries.
+    matrix with determinant 1, with entries up to 2**510 in modulus.  The
+    tolerance is absolute on matrices of entry scale ~1 and is scaled up
+    for larger entries.
 
     Example:
         >>> gm = validate_interface([[1, 0], [0, 1]])
@@ -147,8 +170,10 @@ def validate_interface(entries, atol: float = _ATOL) -> InterfaceMatrix:
     g = np.asarray(entries, dtype=complex)
     if g.shape != (2, 2):
         raise InvalidArgumentError(f"junction matrix must be 2x2, got shape {g.shape}")
-    if not np.all(np.isfinite(g.real) & np.isfinite(g.imag)):
+    if not _all_finite(g):
         raise InvalidArgumentError("junction matrix entries must be finite")
+    if not _in_range(g):
+        raise InvalidArgumentError("junction matrix entries must not exceed 2**510 in modulus")
     scale = max(1.0, float(np.max(np.abs(g))))
     tol = atol * scale * scale
 
@@ -241,6 +266,15 @@ def scatter_interface(
     )
 
 
+def _as_float(value) -> float:
+    """float(value), reading an integer beyond the double range as +-inf,
+    as JSON reads 1e400."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def parse_interface_file(path) -> np.ndarray:
     """Read a junction matrix file without validating it.
 
@@ -253,7 +287,7 @@ def parse_interface_file(path) -> np.ndarray:
             data = json.load(fh)
     except OSError as exc:
         raise GridIOError(f"cannot read junction file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
         raise GridIOError(f"junction file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "entries" not in data:
         raise GridIOError(f"junction file {path}: missing 'entries'")
@@ -261,14 +295,15 @@ def parse_interface_file(path) -> np.ndarray:
     if not (isinstance(raw, list) and len(raw) == 4):
         raise GridIOError(f"junction file {path}: 'entries' must list 4 [re, im] pairs")
     try:
-        flat = [complex(float(re), float(im)) for re, im in raw]
+        flat = [complex(_as_float(re), _as_float(im)) for re, im in raw]
     except (TypeError, ValueError):
         raise GridIOError(f"junction file {path}: 'entries' must list 4 [re, im] pairs") from None
     g = np.array(flat, dtype=complex).reshape(2, 2)
     theta = data.get("theta", 0.0)
-    if not isinstance(theta, (int, float)) or not math.isfinite(theta):
+    if not isinstance(theta, (int, float)) or not math.isfinite(_as_float(theta)):
         raise GridIOError(f"junction file {path}: 'theta' must be a finite number")
-    if theta:
+    # the phase changes neither the verdict nor the residuals out of range
+    if theta and _in_range(g):
         g = g * cmath.exp(1j * theta)
     return g
 

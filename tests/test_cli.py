@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,7 +207,7 @@ def test_solver_failure_maps_to_exit_4(monkeypatch, capsys):
     def boom(ham, count):
         raise SolverFailureError("synthetic failure")
 
-    monkeypatch.setattr(cli.qdot_fd, "solve_lowest", boom)
+    monkeypatch.setattr(qdot_fd, "solve_lowest", boom)
     rc, out, err = run_cli(["dot", "--shape", "disk", "--resolution", "16"], capsys)
     assert rc == 4
     assert "synthetic failure" in err
@@ -303,9 +304,40 @@ def test_hetero_csv_and_io_errors(tmp_path, capsys):
     rc, _, err = run_cli(["hetero", "--matrix", str(tmp_path / "nope.json")], capsys)
     assert rc == 3
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    rc, _, err = run_cli(["hetero", "--matrix", str(bad)], capsys)
-    assert rc == 3
+    for text in (b"{not json", b"\xff\xfe not UTF-8", b"[" * 100_000):
+        bad.write_bytes(text)
+        rc, _, err = run_cli(["hetero", "--matrix", str(bad)], capsys)
+        assert rc == 3 and err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")  # a library warning would reach stderr outside pytest
+def test_hetero_out_of_range_numbers(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    # an integer theta beyond the double range is not a finite number
+    write_matrix(path, [[1, 0], [0, 0], [0, 0], [1, 0]], theta=10**400)
+    rc, out, err = run_cli(["hetero", "--matrix", str(path)], capsys)
+    assert (rc, out) == (3, "") and err.startswith("error: ") and "theta" in err
+    # entries that are not finite, or whose bilinears could overflow, are
+    # rejected without forming the bilinears
+    too_big = "junction matrix entries must not exceed 2**510 in modulus"
+    for entries, theta, reason in [
+        ([["inf", 0], [0, 0], [0, 0], [1, 0]], None, "junction matrix entries must be finite"),
+        ([[10**400, 0], [0, 0], [0, 0], [1, 0]], None, "junction matrix entries must be finite"),
+        ([[1e300, 0], [0, 0], [0, 0], [1e300, 0]], None, too_big),
+        ([[1.7e308, 1.7e308], [0, 0], [0, 0], [1, 0]], 0.5, too_big),
+    ]:
+        write_matrix(path, entries, theta)
+        rc, out, err = run_cli(["hetero", "--matrix", str(path)], capsys)
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["reason"]) == ("rejected", reason)
+        assert all(r["residual"] == "nan" for r in doc["residuals"])
+    # at the bound, a real determinant-1 factor passes at any phase
+    big = 2.0**510
+    write_matrix(path, [[big, 0], [big, 0], [0, 0], [1 / big, 0]], theta=0.3)
+    rc, out, err = run_cli(["hetero", "--matrix", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["verdict"] == "accepted"
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +409,29 @@ def test_dirac_json_encodes_infinities(capsys):
     assert doc["rows"][0]["eta"] == "-inf"
     assert doc["rows"][1]["eta"] == 0.0
     assert doc["rows"][2]["eta"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["dirac", "--eta-steps", "2001"], ["dirac", "--eta-min", "-5", "--eta-max", "7", "--eta-steps", "301"]],
+)
+def test_dirac_speed_is_within_4_ulp(args, capsys):
+    # |cos(phi)| = |1 - eta^2|/(1 + eta^2) against 40 digits, near |eta| = 1 too
+    rc, out, _ = run_cli(args, capsys)
+    assert rc == 0
+    worst = 0.0
+    with mpmath.workdps(40):
+        for eta, speed, *_ in parse_csv(out)[1]:
+            eta, speed = float(eta), float(speed)
+            if math.isinf(eta):
+                assert speed == 1.0
+                continue
+            exact = abs(1 - mpmath.mpf(eta) ** 2) / (1 + mpmath.mpf(eta) ** 2)
+            if exact == 0:
+                assert speed == 0.0
+                continue
+            worst = max(worst, float(abs(speed - exact)) / math.ulp(float(exact)))
+    assert worst <= 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +507,10 @@ _WIDE = st.one_of(
 )
 
 
-def _clean_exit(args):
-    """(exit code, stdout) of one in-process run that must end in exit 0 or 2:
-    no warning, no escaped exception, an error line alone on exit 2 and
-    data alone on exit 0."""
+def _clean_exit(args, codes=(0, 2)):
+    """(exit code, stdout) of one in-process run that must end in one of
+    codes: no warning, no escaped exception, an error line alone on a
+    nonzero exit and data alone on exit 0."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # a library warning would reach stderr outside pytest
         out, err = io.StringIO(), io.StringIO()
@@ -463,8 +518,8 @@ def _clean_exit(args):
             rc = cli.main(args)
     out, err = out.getvalue(), err.getvalue()
     assert not caught, [str(w.message) for w in caught]
-    assert rc in (0, 2)
-    if rc == 2:
+    assert rc in codes
+    if rc != 0:
         assert out == "" and err.startswith("error: ")
     else:
         assert err == ""
@@ -546,9 +601,84 @@ def test_wall_argv_ends_in_a_clean_exit(gamma, mass, epsilons, fmt):
     _clean_exit(args + _float_flags(gamma=gamma, mass=mass))
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+# JSON values a junction file may hold where a number belongs
+_JSON_VALUE = st.one_of(
+    _WIDE,
+    st.sampled_from(["nan", "inf", "-inf", "1", "x", None, {}]),
+    st.booleans(),
+    st.integers(min_value=2**1024, max_value=2**1100).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.integers(min_value=-3, max_value=3),
+)
+_JSON_PAIR = st.one_of(
+    st.lists(_JSON_VALUE, min_size=2, max_size=2),
+    st.lists(_JSON_VALUE, max_size=3),
+    st.lists(st.lists(_JSON_VALUE, max_size=2), min_size=2, max_size=2),
+    _JSON_VALUE,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.one_of(
+        st.lists(st.lists(_JSON_VALUE, min_size=2, max_size=2), min_size=4, max_size=4),
+        st.lists(_JSON_PAIR, min_size=3, max_size=5),
+        _JSON_VALUE,
+    ),
+    theta=st.none() | _JSON_VALUE,
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_hetero_file_ends_in_a_clean_exit(entries, theta, fmt, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_matrix.json"
+    write_matrix(path, entries, theta)
+    _clean_exit(["hetero", "--matrix", str(path), "--format", fmt], codes=(0, 2, 3, 4))
+
+
+def _fresh_python(code, *args):
+    """stdout of `python -c code args` in a new interpreter that imports this sae_lab."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
     code = "import sys, sae_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+_MAIN_THEN_MODULES = (
+    "import contextlib, io, sys, sae_lab.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    rc = sae_lab.cli.main(sys.argv[1:])\n"
+    "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.') or m == 'sae_lab.qdot_fd']\n"
+    "print(rc, sorted(loaded))"
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--gamma-steps", "5"],
+        ["scatter", "--k-steps", "3"],
+        ["wall"],
+        ["dirac", "--eta-steps", "5"],
+        ["hetero"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_closed_form_subcommands_leave_scipy_out(args, tmp_path):
+    # only dot needs scipy, so no other subcommand pays for importing it
+    if args == ["hetero"]:
+        path = tmp_path / "ok.json"
+        write_matrix(path, [[1, 0], [0, 0], [0, 0], [1, 0]])
+        args = ["hetero", "--matrix", str(path)]
+    assert _fresh_python(_MAIN_THEN_MODULES, *args) == "0 []"
+
+
+def test_dot_still_loads_its_solver():
+    out = _fresh_python(_MAIN_THEN_MODULES, "dot", "--shape", "disk", "--resolution", "16")
+    rc, loaded = out.split(" ", 1)
+    assert rc == "0"
+    assert "sae_lab.qdot_fd" in loaded and "'scipy'" in loaded
