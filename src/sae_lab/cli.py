@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,24 +39,10 @@ from .errors import (
     SolverFailureError,
 )
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 SCHEMA_VERSION = 1
 _SPECTRUM_LEVELS = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed invocation: the subcommand plus its parameter map."""
-
-    subcommand: str
-    params: dict
-
-    def __post_init__(self):
-        if self.params.get("format") not in ("csv", "json"):
-            raise InvalidArgumentError(
-                f"output format must be csv or json, got {self.params.get('format')!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +89,10 @@ def _json_ready(value):
     return "inf" if value > 0 else "-inf"
 
 
-def _render(config: RunConfig, header, rows, doc) -> str:
-    if config.params["format"] == "csv":
+def _render(params: dict, header, rows, doc) -> str:
+    if params["format"] == "csv":
         return _csv(header, rows)
-    body = {"schema": SCHEMA_VERSION, "command": config.subcommand, **doc}
+    body = {"schema": SCHEMA_VERSION, "command": params["subcommand"], **doc}
     if body.get("rows") is _KEYED_ROWS:
         body["rows"] = [dict(zip(header, row)) for row in rows]
     return json.dumps(_json_ready(body), indent=2) + "\n"
@@ -160,8 +145,7 @@ def _arctan_samples(params: dict, name: str, scale: float):
 # spectrum
 
 
-def cmd_spectrum(config: RunConfig):
-    params = config.params
+def cmd_spectrum(params: dict):
     m, L = params["mass"], params["length"]
     box1d.BoxSpec(m=m, L=L, gamma=0.0)  # reject a bad m or L before sampling divides by L
     raw = params["raw_units"]
@@ -223,10 +207,9 @@ def _dot_grid(params: dict):
         raise InvalidArgumentError("the dot grid is too large to allocate") from None
 
 
-def cmd_dot(config: RunConfig):
+def cmd_dot(params: dict):
     from . import qdot_fd  # only dot loads scipy
 
-    params = config.params
     grid, described = _dot_grid(params)
     gamma, m, count = params["gamma"], params["mass"], params["count"]
     field = qdot_fd.RobinField.constant(gamma)
@@ -273,8 +256,7 @@ def cmd_dot(config: RunConfig):
 # scatter
 
 
-def cmd_scatter(config: RunConfig):
-    params = config.params
+def cmd_scatter(params: dict):
     gamma = params["gamma"]
     k_min, k_max, steps = params["k_min"], params["k_max"], params["k_steps"]
     if steps < 1:
@@ -298,8 +280,7 @@ def cmd_scatter(config: RunConfig):
 # wall
 
 
-def cmd_wall(config: RunConfig):
-    params = config.params
+def cmd_wall(params: dict):
     gamma, m = params["gamma"], params["mass"]
     try:
         widths = [float(tok) for tok in params["epsilons"].split(",") if tok.strip()]
@@ -322,8 +303,8 @@ def cmd_wall(config: RunConfig):
 # hetero
 
 
-def cmd_hetero(config: RunConfig):
-    path = config.params["matrix"]
+def cmd_hetero(params: dict):
+    path = params["matrix"]
     entries = hetero.parse_interface_file(path)
     residuals = [
         {"identity": name, "residual": abs(value)}
@@ -350,8 +331,7 @@ def cmd_hetero(config: RunConfig):
 # dirac
 
 
-def cmd_dirac(config: RunConfig):
-    params = config.params
+def cmd_dirac(params: dict):
     m, c = params["mass"], params["light_speed"]
     rows = []
     for _, eta in _arctan_samples(params, "eta", 1.0):
@@ -504,12 +484,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params = vars(args)
+    params = vars(build_parser().parse_args(argv))
     try:
-        config = RunConfig(subcommand=params.pop("subcommand"), params=params)
-        text = _render(config, *_DISPATCH[config.subcommand](config))
+        text = _render(params, *_DISPATCH[params["subcommand"]](params))
     except GridIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

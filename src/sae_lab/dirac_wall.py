@@ -94,6 +94,8 @@ BETA_TILDE_4P1 = np.block([[_Z2, _I2], [_I2, _Z2]]).astype(complex)
 ALPHA5_TILDE_4P1 = 1j * np.block([[_Z2, _I2], [-_I2, _Z2]])
 
 _ATOL = 1e-12
+# a 1-d wall parameter is one number of scale ~1; its real part must be rounding-small
+_ATOL_1D = 1e-14
 
 
 def pauli_dot(v) -> np.ndarray:
@@ -181,7 +183,7 @@ class DispersionPoint:
 # 1-d wall
 
 
-def validate_lambda_1d(lam: complex, m: float = 1.0, c: float = 1.0, atol: float = 1e-14) -> Lambda1D:
+def validate_lambda_1d(lam: complex, m: float = 1.0, c: float = 1.0) -> Lambda1D:
     """Accept a 1-d wall parameter iff it is purely imaginary.
 
     Example:
@@ -193,9 +195,9 @@ def validate_lambda_1d(lam: complex, m: float = 1.0, c: float = 1.0, atol: float
         raise InvalidArgumentError(f"wall parameter must be finite, got {lam}")
     if not (math.isfinite(m) and m > 0 and math.isfinite(c) and c > 0):
         raise InvalidArgumentError(f"mass and light speed must be positive, got m={m}, c={c}")
-    if abs(lam.real) > atol:
+    if abs(lam.real) > _ATOL_1D:
         raise NotSelfAdjointError(
-            f"wall parameter must be purely imaginary; Re = {lam.real:.3e} exceeds {atol:.1e}"
+            f"wall parameter must be purely imaginary; Re = {lam.real:.3e} exceeds {_ATOL_1D:.1e}"
         )
     return Lambda1D(lam=lam, m=float(m), c=float(c))
 
@@ -230,7 +232,7 @@ def nonrel_gamma_1d(wall: Lambda1D) -> float:
 # 3-d wall
 
 
-def validate_lambda_3d(lam, normal, atol: float = _ATOL) -> Lambda3D:
+def validate_lambda_3d(lam, normal) -> Lambda3D:
     """Accept 3-d wall data iff (n.sigma) lam is anti-Hermitean.
 
     ``normal`` must be a unit 3-vector (the outward normal at the wall
@@ -249,9 +251,9 @@ def validate_lambda_3d(lam, normal, atol: float = _ATOL) -> Lambda3D:
     ns_lam = pauli_dot(normal) @ lam
     defect = np.max(np.abs(ns_lam + ns_lam.conj().T))
     scale = max(1.0, float(np.max(np.abs(lam))))
-    if defect > atol * scale:
+    if defect > _ATOL * scale:
         raise NotSelfAdjointError(
-            f"(n.sigma) lam must be anti-Hermitean; defect {defect:.3e} exceeds {atol * scale:.1e}"
+            f"(n.sigma) lam must be anti-Hermitean; defect {defect:.3e} exceeds {_ATOL * scale:.1e}"
         )
     return Lambda3D(lam=lam, normal=normal)
 

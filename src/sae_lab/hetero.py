@@ -154,13 +154,13 @@ def bilinear_residuals(g) -> list:
     ]
 
 
-def validate_interface(entries, atol: float = _ATOL) -> InterfaceMatrix:
+def validate_interface(entries) -> InterfaceMatrix:
     """Check a 2x2 complex matrix for probability-conserving junction form.
 
     Accepts exactly the matrices of the form exp(i theta) times a real
-    matrix with determinant 1, with entries up to 2**510 in modulus.  The
-    tolerance is absolute on matrices of entry scale ~1 and is scaled up
-    for larger entries.
+    matrix with determinant 1, with entries up to 2**510 in modulus.  Each
+    identity's tolerance is absolute while its two products are ~1 and
+    scales with the sum of their moduli beyond that.
 
     Example:
         >>> gm = validate_interface([[1, 0], [0, 1]])
@@ -174,20 +174,19 @@ def validate_interface(entries, atol: float = _ATOL) -> InterfaceMatrix:
         raise InvalidArgumentError("junction matrix entries must be finite")
     if not _in_range(g):
         raise InvalidArgumentError("junction matrix entries must not exceed 2**510 in modulus")
-    scale = max(1.0, float(np.max(np.abs(g))))
-    tol = atol * scale * scale
-
-    worst_name, worst_val = None, 0.0
-    for name, resid in bilinear_residuals(g):
-        if abs(resid) > worst_val:
-            worst_name, worst_val = name, abs(resid)
-    if worst_val > tol:
+    a = np.abs(g)
+    det_scale = a[0, 0] * a[1, 1] + a[1, 0] * a[0, 1]
+    products = [det_scale, det_scale, 2.0 * a[0, 0] * a[1, 0], 2.0 * a[0, 1] * a[1, 1]]
+    tols = [_ATOL * max(1.0, float(p)) for p in products]
+    residuals = [abs(value) for _, value in bilinear_residuals(g)]
+    worst = max(range(4), key=lambda k: residuals[k] / tols[k])
+    if residuals[worst] > tols[worst]:
         det_real = np.conj(g[0, 0]) * g[1, 1] - np.conj(g[1, 0]) * g[0, 1]
         hint = ""
-        if abs(det_real + 1.0) <= tol:
+        if abs(det_real + 1.0) <= tols[0]:
             hint = " (real factor has determinant -1, orientation-reversing)"
         raise NotSelfAdjointError(
-            f"junction matrix violates {worst_name} by {worst_val:.3e}{hint}"
+            f"junction matrix violates {_IDENTITIES[worst]} by {residuals[worst]:.3e}{hint}"
         )
 
     # common phase from the largest-magnitude entry, folded into (-pi/2, pi/2]
@@ -233,7 +232,7 @@ def scatter_interface(
     Example:
         >>> sol = scatter_interface(2.0, RegionParams(1.0), RegionParams(1.0),
         ...                         validate_interface([[1, 0], [0, 1]]))
-        >>> abs(sol.T - 1.0) < 1e-12 and abs(sol.R) < 1e-12
+        >>> bool(abs(sol.T - 1.0) < 1e-12 and abs(sol.R) < 1e-12)
         True
     """
     if not math.isfinite(E):

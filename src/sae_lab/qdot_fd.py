@@ -25,6 +25,7 @@ the general uncertainty slack safely nonnegative for every eigenstate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,61 +73,50 @@ class DomainGrid:
     (0, ..., 0), so cell centers sit at origin + (index + 1/2) h.
 
     Derived attributes, all in the fixed orders described in the module
-    docstring: ``cell_centers`` (N, d), ``links`` (rows i, j, axis for the
-    kinetic couplings), ``boundary_faces`` (rows cell, axis, orient).
+    docstring: ``cell_centers`` (N, d); ``neighbors`` (d, 2, N), the cell
+    across each cell's + (side 0) and - (side 1) face on every axis, -1 at a
+    boundary face; and, read from it, ``links`` (rows i, j, axis for the
+    kinetic couplings, j across the + face of i) and ``boundary_faces`` (rows
+    cell, axis, orient).
     """
 
     def __init__(self, mask: np.ndarray, h: float, origin=None):
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim not in (1, 2, 3):
             raise InvalidArgumentError(f"mask must be 1-, 2- or 3-dimensional, got shape {mask.shape}")
-        if not (math.isfinite(h) and h > 0):
-            raise InvalidArgumentError(f"grid spacing must be positive and finite, got {h}")
+        # cell volumes h^d and densities 1/h^d must both be normal doubles
+        if not (math.isfinite(h) and h > 0 and abs(math.log2(h)) * mask.ndim < 1022):
+            raise InvalidArgumentError(f"grid spacing {h} leaves h^{mask.ndim} or its inverse out of range")
         if not mask.any():
             raise InvalidArgumentError("mask contains no cells")
         self.mask = mask
         self.d = mask.ndim
         self.h = float(h)
         if origin is None:
-            origin = -0.5 * h * np.asarray(mask.shape, dtype=float)
+            origin = [-0.5 * self.h * n for n in mask.shape]
         self.origin = np.asarray(origin, dtype=float)
         if self.origin.shape != (self.d,):
             raise InvalidArgumentError(f"origin must have {self.d} components")
+        if not math.isfinite(float(np.abs(self.origin).max()) + self.h * max(mask.shape)):
+            raise InvalidArgumentError("cell coordinates must be finite")
 
-        self.cell_index = np.full(mask.shape, -1, dtype=np.int64)
+        cell_index = np.full(mask.shape, -1, dtype=np.int64)
         inside = np.argwhere(mask)  # C order
         self.n_cells = len(inside)
-        self.cell_index[tuple(inside.T)] = np.arange(self.n_cells)
+        cell_index[tuple(inside.T)] = np.arange(self.n_cells)
         self.cell_centers = self.origin + (inside + 0.5) * self.h
 
-        links = []
-        for axis in range(self.d):
-            lo = [slice(None)] * self.d
-            hi = [slice(None)] * self.d
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
-            pair = mask[tuple(lo)] & mask[tuple(hi)]
-            i = self.cell_index[tuple(lo)][pair]
-            j = self.cell_index[tuple(hi)][pair]
-            links.append(np.column_stack([i, j, np.full(len(i), axis)]))
-        self.links = np.concatenate(links) if links else np.empty((0, 3), dtype=np.int64)
-
-        faces = []
-        for axis in range(self.d):
-            for orient in (+1, -1):
-                neighbor_inside = np.zeros_like(mask)
-                src = [slice(None)] * self.d
-                dst = [slice(None)] * self.d
-                if orient > 0:
-                    dst[axis] = slice(None, -1)
-                    src[axis] = slice(1, None)
-                else:
-                    dst[axis] = slice(1, None)
-                    src[axis] = slice(None, -1)
-                neighbor_inside[tuple(dst)] = mask[tuple(src)]
-                cells = self.cell_index[mask & ~neighbor_inside]  # already in C order
-                faces.append(np.column_stack([cells, np.full(len(cells), axis), np.full(len(cells), orient)]))
-        self.boundary_faces = np.concatenate(faces)
+        # one -1 cell padded on every side: the cell at index + step along an
+        # axis is read from the padded index shifted by -step
+        padded = np.pad(cell_index, 1, constant_values=-1)
+        at = tuple((inside + 1).T)
+        self.neighbors = np.array(
+            [[np.roll(padded, -step, axis)[at] for step in (+1, -1)] for axis in range(self.d)]
+        )
+        axis, cell = np.nonzero(self.neighbors[:, 0] >= 0)
+        self.links = np.column_stack([cell, self.neighbors[axis, 0, cell], axis])
+        axis, side, cell = np.nonzero(self.neighbors < 0)
+        self.boundary_faces = np.column_stack([cell, axis, 1 - 2 * side])
         self.n_faces = len(self.boundary_faces)
 
     def face_centers(self) -> np.ndarray:
@@ -180,10 +170,6 @@ class RobinField:
     def from_values(cls, values) -> "RobinField":
         return cls(per_face=np.asarray(values, dtype=float))
 
-    @property
-    def is_dirichlet(self) -> bool:
-        return self.uniform is not None and math.isinf(self.uniform)
-
     def resolve(self, grid: DomainGrid) -> np.ndarray:
         """Finite per-face gammas; +-inf entries become the exact 2/h.
 
@@ -200,7 +186,7 @@ class RobinField:
                 )
             vals = self.per_face.copy()
         wall = np.isinf(vals)
-        stiff = np.abs(vals) * grid.h >= 2.0**52
+        stiff = np.abs(vals) >= 2.0**52 / grid.h  # |gamma| h >= 2^52, without overflowing
         if np.any(stiff & ~wall):
             gamma = float(vals[stiff & ~wall][0])
             raise InvalidArgumentError(
@@ -314,19 +300,27 @@ def rect_grid(Lx: float, Ly: float, n: int) -> DomainGrid:
     """Rectangle Lx x Ly with n cells along x (h = Lx/n)."""
     _check_size(n, Lx, Ly)
     h = Lx / n
-    if not n * (Ly / h) <= np.iinfo(np.intp).max:
+    if not (h > 0 and n * (Ly / h) <= np.iinfo(np.intp).max):
         raise InvalidArgumentError(f"a {Lx} x {Ly} rectangle with {n} cells along x has too many cells")
     ny = max(1, round(Ly / h))
     return DomainGrid(np.ones((n, ny), dtype=bool), h, origin=np.array([-Lx / 2.0, -ny * h / 2.0]))
 
 
-def disk_grid(radius: float, n: int) -> DomainGrid:
-    """Rasterized disk of the given radius, n cells across (h = 2 radius/n)."""
-    _check_size(n, radius)
+def _disk_box(radius: float, n: int):
+    """Spacing and squared center distances of the n x n box around a disk."""
+    if not math.isfinite(2.0 * radius * radius):
+        raise InvalidArgumentError(f"radius {radius} is too large: squared distances overflow")
     h = 2.0 * radius / n
     centers = -radius + (np.arange(n) + 0.5) * h
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
-    return DomainGrid(xx**2 + yy**2 < radius**2, h, origin=np.array([-radius, -radius]))
+    return h, xx**2 + yy**2
+
+
+def disk_grid(radius: float, n: int) -> DomainGrid:
+    """Rasterized disk of the given radius, n cells across (h = 2 radius/n)."""
+    _check_size(n, radius)
+    h, rr = _disk_box(radius, n)
+    return DomainGrid(rr < radius**2, h, origin=np.array([-radius, -radius]))
 
 
 def annulus_grid(r_inner: float, r_outer: float, n: int) -> DomainGrid:
@@ -334,10 +328,7 @@ def annulus_grid(r_inner: float, r_outer: float, n: int) -> DomainGrid:
     _check_size(n, r_inner, r_outer)
     if not r_inner < r_outer:
         raise InvalidArgumentError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
-    h = 2.0 * r_outer / n
-    centers = -r_outer + (np.arange(n) + 0.5) * h
-    xx, yy = np.meshgrid(centers, centers, indexing="ij")
-    rr = xx**2 + yy**2
+    h, rr = _disk_box(r_outer, n)
     return DomainGrid((rr > r_inner**2) & (rr < r_outer**2), h, origin=np.array([-r_outer, -r_outer]))
 
 
@@ -349,20 +340,21 @@ def read_grid(path) -> DomainGrid:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GridIOError(f"cannot read grid file {path}: {exc}") from None
     lines = text.splitlines()
     if not lines:
         raise GridIOError(f"grid file {path} is empty")
     head = lines[0].split()
+    quoted = repr(lines[0][:40]) + ("..." if len(lines[0]) > 40 else "")
     try:
         d = int(head[0])
         h = float(head[1])
         dims = [int(tok) for tok in head[2:]]
     except (IndexError, ValueError):
-        raise GridIOError(f"grid file {path}: bad header {lines[0]!r}") from None
+        raise GridIOError(f"grid file {path}: bad header {quoted}") from None
     if d not in (1, 2, 3) or len(dims) != d or any(n < 1 for n in dims):
-        raise GridIOError(f"grid file {path}: header dimensions inconsistent: {lines[0]!r}")
+        raise GridIOError(f"grid file {path}: header dimensions inconsistent: {quoted}")
     body = "".join(lines[1:]).split()
     cells = "".join(body)
     if len(cells) != int(np.prod(dims)) or set(cells) - {"0", "1"}:
@@ -389,18 +381,18 @@ def write_grid(grid: DomainGrid, path) -> None:
         raise GridIOError(f"cannot write grid file {path}: {exc}") from None
 
 
-def read_robin_field(path, grid: DomainGrid, base: float = 0.0) -> RobinField:
+def read_robin_field(path, grid: DomainGrid) -> RobinField:
     """Read per-face gammas from CSV rows ``face_index,gamma``.
 
-    Faces not listed keep ``base``.  A first line ``face,gamma`` is accepted
-    as a header.  ``inf``/``-inf`` entries mark Dirichlet faces.
+    Faces not listed keep gamma = 0 (Neumann).  A first line ``face,gamma``
+    is accepted as a header.  ``inf``/``-inf`` entries mark Dirichlet faces.
     """
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GridIOError(f"cannot read boundary field {path}: {exc}") from None
-    values = np.full(grid.n_faces, float(base))
+    values = np.zeros(grid.n_faces)
     start = 1 if lines and lines[0].lower().replace(" ", "") == "face,gamma" else 0
     for ln in lines[start:]:
         parts = ln.split(",")
@@ -440,13 +432,22 @@ def build_hamiltonian(grid: DomainGrid, field: RobinField, m: float, V=None) -> 
     if V_arr.shape != (n,):
         raise InvalidArgumentError(f"potential must have one value per cell ({n}), got {V_arr.shape}")
 
-    t = 1.0 / (2.0 * m * h * h)
+    # every row's Gershgorin sum |H_ii| + sum_j |H_ij| is at most |V_i| plus,
+    # per cell face, 2t for a link or |gamma_f| h t for a boundary face; the
+    # eigensolvers square numbers of that size (bisection pivots, residual
+    # norms), so its square must stay a double
+    gammas = field.resolve(grid)
+    kinetic = 2.0 * m * h * h
+    t = 1.0 / kinetic if kinetic > 0 else math.inf
+    face = float(np.abs(gammas).max(initial=0.0)) * h * t
+    reach = float(np.abs(V_arr).max()) + 2 * grid.d * max(2.0 * t, face)
+    if not math.isfinite(reach * reach):
+        raise InvalidArgumentError(f"mass {m} and spacing {h} give a Hamiltonian beyond the double range")
     diag = V_arr.copy()
     i = grid.links[:, 0]
     j = grid.links[:, 1]
     np.add.at(diag, i, t)
     np.add.at(diag, j, t)
-    gammas = field.resolve(grid)
     np.add.at(diag, grid.boundary_faces[:, 0], gammas / (2.0 * m * h))
 
     rows = np.concatenate([np.arange(n), i, j])
@@ -517,7 +518,10 @@ def solve_lowest(ham: DiscreteHamiltonian, count: int):
     grid = ham.grid
 
     if grid.d == 1:
-        w, v = eigh_tridiagonal(A.diagonal(), A.diagonal(k=1), select="i", select_range=(0, count - 1))
+        try:
+            w, v = eigh_tridiagonal(A.diagonal(), A.diagonal(k=1), select="i", select_range=(0, count - 1))
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"tridiagonal eigensolver failed: {exc}") from None
     else:
         _, labels = connected_components(A, directed=False)
         parts = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
@@ -528,11 +532,8 @@ def solve_lowest(ham: DiscreteHamiltonian, count: int):
             v[parts[p], col] = pairs[p][1][:, j]
 
     # fixed sign: largest-magnitude component positive
-    for kcol in range(v.shape[1]):
-        col = v[:, kcol]
-        lead = col[np.argmax(np.abs(col))]
-        if lead < 0:
-            v[:, kcol] = -col
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v[:, lead < 0] *= -1
     resid = A @ v - v * w[np.newaxis, :]
     for kcol in range(v.shape[1]):
         tol = 1e-8 * max(1.0, abs(w[kcol]))
@@ -551,29 +552,29 @@ def solve_lowest(ham: DiscreteHamiltonian, count: int):
 
 def _gradient(grid: DomainGrid, psi: np.ndarray) -> np.ndarray:
     """(N, d) centered-difference gradient, one-sided where a neighbor is missing."""
-    h = grid.h
-    out = np.zeros((grid.n_cells, grid.d), dtype=psi.dtype)
-    has_plus = np.zeros((grid.n_cells, grid.d), dtype=bool)
-    has_minus = np.zeros((grid.n_cells, grid.d), dtype=bool)
-    plus_val = np.zeros((grid.n_cells, grid.d), dtype=psi.dtype)
-    minus_val = np.zeros((grid.n_cells, grid.d), dtype=psi.dtype)
-    li, lj, la = grid.links.T
-    has_plus[li, la] = True
-    plus_val[li, la] = psi[lj]
-    has_minus[lj, la] = True
-    minus_val[lj, la] = psi[li]
-    for axis in range(grid.d):
-        hp = has_plus[:, axis]
-        hm = has_minus[:, axis]
-        both = hp & hm
-        out[both, axis] = (plus_val[both, axis] - minus_val[both, axis]) / (2 * h)
-        oplus = hp & ~hm
-        out[oplus, axis] = (plus_val[oplus, axis] - psi[oplus]) / h
-        ominus = hm & ~hp
-        out[ominus, axis] = (psi[ominus] - minus_val[ominus, axis]) / h
+    out = np.empty((grid.n_cells, grid.d), dtype=psi.dtype)
+    for axis, (plus, minus) in enumerate(grid.neighbors):
+        up = np.where(plus >= 0, psi[plus], psi)
+        down = np.where(minus >= 0, psi[minus], psi)
+        out[:, axis] = (up - down) / np.where((plus >= 0) & (minus >= 0), 2 * grid.h, grid.h)
     return out
 
 
+def _in_double_range(fn):
+    """fn, raising InvalidArgumentError where a term it forms leaves the double range."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise InvalidArgumentError(f"{fn.__name__} leaves the double range: {exc}") from None
+
+    return checked
+
+
+@_in_double_range
 def moments(grid: DomainGrid, field: RobinField, psi: np.ndarray) -> Moments:
     """Volume and boundary moments of a state given on the grid cells.
 
@@ -619,6 +620,7 @@ def moments(grid: DomainGrid, field: RobinField, psi: np.ndarray) -> Moments:
     return Moments(mean_x, var_x, grad_sq + mean_gamma, pbar, xp_bar, mean_n, mean_nx, mean_gamma)
 
 
+@_in_double_range
 def uncertainty_general(mom: Moments, d: int) -> UncertaintyReport:
     """Evaluate both boundary-corrected uncertainty statements.
 

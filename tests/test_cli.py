@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import sae_lab.cli as cli
 from sae_lab import box1d, qdot_fd
-from sae_lab.errors import InvalidArgumentError, SolverFailureError
+from sae_lab.errors import SolverFailureError
 
 
 def run_cli(args, capsys):
@@ -104,15 +104,11 @@ def test_spectrum_usage_errors(capsys):
     rc, _, err = run_cli(["spectrum", "--gamma-min", "5", "--gamma-max", "-5"], capsys)
     assert rc == 2
     assert "empty" in err
-    with pytest.raises(SystemExit) as exc_info:
-        cli.main(["spectrum", "--no-such-flag"])
-    assert exc_info.value.code == 2
+    for argv in (["spectrum", "--no-such-flag"], ["spectrum", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code == 2
     capsys.readouterr()
-
-
-def test_run_config_rejects_unknown_format():
-    with pytest.raises(InvalidArgumentError):
-        cli.RunConfig("spectrum", {"format": "xml"})
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +181,15 @@ def test_dot_io_and_usage_failures(tmp_path, capsys):
         ["dot", "--shape", "interval", "--resolution", "10", "--count", "100"], capsys
     )
     assert rc == 2
+
+
+def test_dot_bad_grid_files_exit_3_with_a_short_message(tmp_path, capsys):
+    bad = tmp_path / "bad.grid"
+    for text in (b"\xff\xfe 2 0.1 4 4", b"[" * 100_000, b"7 0.1 " + b"1" * 100_000):
+        bad.write_bytes(text)
+        rc, out, err = run_cli(["dot", "--grid", str(bad)], capsys)
+        assert (rc, out) == (3, "") and err.startswith("error: ")
+        assert len(err) < 200 + len(str(bad))
 
 
 @pytest.mark.parametrize("gamma, solves", [("1", 3), ("inf", 1)])
@@ -479,6 +484,13 @@ def test_missing_subcommand_is_usage_error(capsys):
         # |gamma| h beyond 2^52 is the Dirichlet wall, asked for as --gamma inf
         (["dot", "--shape", "disk", "--resolution", "16", "--gamma", "1e300"], 2),
         (["dot", "--shape", "interval", "--resolution", "8", "--gamma=-1e300"], 2),
+        # 1/(2 m h^2) or its row sums leave the double range; r^2 overflows
+        (["dot", "--shape", "interval", "--resolution", "8", "--length", "1e-300"], 2),
+        (["dot", "--shape", "rect", "--resolution", "8", "--length", "1e-300"], 2),
+        (["dot", "--shape", "interval", "--resolution", "8", "--mass", "1e-320"], 2),
+        (["dot", "--shape", "disk", "--resolution", "8", "--mass", "1e-320"], 2),
+        (["dot", "--shape", "disk", "--resolution", "8", "--length", "1e300"], 2),
+        (["dot", "--shape", "annulus", "--resolution", "8", "--length", "1e300"], 2),
         # q = pi/(2 eps) or V0 = q^2/2m overflows
         (["wall", "--epsilons", "1e-320"], 2),
         (["wall", "--mass", "5e-324", "--epsilons", "6.0416529135347695e-59"], 2),
@@ -599,6 +611,24 @@ def test_scatter_argv_ends_in_a_clean_exit(gamma, k_min, k_max, steps, fmt):
 def test_wall_argv_ends_in_a_clean_exit(gamma, mass, epsilons, fmt):
     args = ["wall", "--epsilons=" + ",".join(map(repr, epsilons)), "--format", fmt]
     _clean_exit(args + _float_flags(gamma=gamma, mass=mass))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(["interval", "rect", "disk", "annulus"]),
+    resolution=st.integers(min_value=-1, max_value=24),
+    count=st.integers(min_value=-1, max_value=8),
+    length=st.none() | _WIDE,
+    length2=st.none() | _WIDE,
+    gamma=st.none() | _WIDE,
+    mass=st.none() | _WIDE,
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_dot_argv_ends_in_a_clean_exit(shape, resolution, count, length, length2, gamma, mass, fmt):
+    args = ["dot", "--shape", shape, f"--resolution={resolution}", f"--count={count}", "--format", fmt]
+    _clean_exit(
+        args + _float_flags(length=length, length2=length2, gamma=gamma, mass=mass), codes=(0, 2, 3, 4)
+    )
 
 
 # JSON values a junction file may hold where a number belongs

@@ -61,6 +61,17 @@ def test_wrong_determinant_rejected():
         validate_interface(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+def test_tolerance_scales_per_identity(tmp_path):
+    # one large entry must not loosen the determinant check so far that
+    # diag(1e13, 1), of real determinant 1e13, passes
+    path = tmp_path / "big.json"
+    path.write_text('{"entries": [[1e13, 0], [0, 0], [0, 0], [1, 0]]}')
+    with pytest.raises(NotSelfAdjointError, match="conj\\(g11\\) g22"):
+        load_interface(path)
+    # a determinant-1 factor with entries far from 1 still passes
+    validate_interface(np.array([[1e13, 1e13], [0.0, 1e-13]]))
+
+
 def test_orientation_reversal_rejected():
     with pytest.raises(NotSelfAdjointError, match="determinant -1"):
         validate_interface(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -21,6 +21,7 @@ from sae_lab.errors import (
 )
 from sae_lab.qdot_fd import (
     DomainGrid,
+    _gradient,
     GaussianPacket,
     RobinField,
     annulus_grid,
@@ -386,3 +387,38 @@ def test_potential_callable_matches_array():
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
     w, _ = solve_lowest(h1, 2)
     assert w[0] > 0  # confinement lifts the Neumann zero mode
+
+
+def test_neighbor_table_matches_a_cell_by_cell_walk():
+    # the reference walks every cell face by plain indexing; links, boundary
+    # faces and the gradient must follow the table in the documented orders
+    rng = np.random.default_rng(5)
+    for shape in [(7,), (1,), (5, 6), (1, 4), (4, 1), (3, 4, 2), (2, 1, 3)]:
+        mask = rng.random(shape) < 0.6
+        mask.flat[0] = True
+        grid = DomainGrid(mask, 0.3)
+        cells = [tuple(c) for c in np.argwhere(mask)]
+        index = {c: k for k, c in enumerate(cells)}
+        table = np.full((grid.d, 2, len(cells)), -1, dtype=np.int64)
+        for axis, side, k in np.ndindex(table.shape):
+            across = list(cells[k])
+            across[axis] += 1 - 2 * side
+            table[axis, side, k] = index.get(tuple(across), -1)
+        links = [(k, table[a, 0, k], a) for a, k in np.ndindex(grid.d, len(cells)) if table[a, 0, k] >= 0]
+        faces = [(k, a, 1 - 2 * s) for a, s, k in np.ndindex(table.shape) if table[a, s, k] < 0]
+        assert grid.neighbors.dtype == grid.links.dtype == grid.boundary_faces.dtype == np.int64
+        assert np.array_equal(grid.neighbors, table)
+        assert grid.links.tolist() == [list(row) for row in links]
+        assert grid.boundary_faces.tolist() == [list(row) for row in faces]
+
+        psi = rng.normal(size=len(cells))
+        grad = np.zeros((len(cells), grid.d))
+        for axis, k in np.ndindex(grid.d, len(cells)):
+            up, down = table[axis, :, k]
+            if up >= 0 and down >= 0:
+                grad[k, axis] = (psi[up] - psi[down]) / (2 * grid.h)
+            elif up >= 0:
+                grad[k, axis] = (psi[up] - psi[k]) / grid.h
+            elif down >= 0:
+                grad[k, axis] = (psi[k] - psi[down]) / grid.h
+        assert np.array_equal(_gradient(grid, psi), grad)
