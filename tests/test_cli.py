@@ -104,11 +104,19 @@ def test_spectrum_usage_errors(capsys):
     rc, _, err = run_cli(["spectrum", "--gamma-min", "5", "--gamma-max", "-5"], capsys)
     assert rc == 2
     assert "empty" in err
-    for argv in (["spectrum", "--no-such-flag"], ["spectrum", "--format", "xml"]):
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(argv)
-        assert exc_info.value.code == 2
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["spectrum", "--no-such-flag"])
+    assert exc_info.value.code == 2
     capsys.readouterr()
+
+
+def test_run_config_rejects_unknown_format(capsys):
+    for command in ("spectrum", "dot", "scatter", "wall", "hetero", "dirac"):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([command, "--format", "xml"])
+        assert exc_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--format" in err
 
 
 # ---------------------------------------------------------------------------
