@@ -436,7 +436,7 @@ def _levels(m: float, L: float, gammas, count: int):
         k = x / L
         if walls:
             np.copyto(k, x, where=wall)
-        energy = k * k / (2.0 * m)
+        energy = k * k / m / 2.0
     branch = (x == 0.0) * 2 + wall  # oscillatory 0, evanescent 1, zero mode 2
     overflow = np.isinf(energy)
     if np.count_nonzero(overflow):
@@ -532,7 +532,7 @@ def boundary_observables(state: Eigenstate1D) -> BoundaryObservables1D:
     rho = 0.0 if spec.dirichlet else rho
     b = 0.0 if spec.dirichlet else 2.0 * spec.gamma * rho
     # Parity eigenstates are real with equal wall densities, so c = <x> = <p> = 0 exactly.
-    mean_p2 = 2.0 * spec.m * state.energy
+    mean_p2 = 2.0 * (spec.m * state.energy)
     return BoundaryObservables1D(spec.L * rho, b, 0.0, rho, rho, 0.0, 0.0, var_x, mean_p2)
 
 
@@ -557,4 +557,4 @@ def spectral_flow(state: Eigenstate1D) -> float:
     Dirichlet walls.
     """
     obs = boundary_observables(state)
-    return (obs.rho_plus + obs.rho_minus) / (2.0 * state.spec.m)
+    return (obs.rho_plus + obs.rho_minus) / state.spec.m / 2.0

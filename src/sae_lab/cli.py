@@ -149,7 +149,7 @@ def cmd_spectrum(params: dict):
     m, L = params["mass"], params["length"]
     box1d.BoxSpec(m=m, L=L, gamma=0.0)  # reject a bad m or L before sampling divides by L
     raw = params["raw_units"]
-    scale = 1.0 if raw else 2.0 * m * L * L / math.pi**2
+    scale = 1.0 if raw else 2.0 * (m * L * L) / math.pi**2
     samples = _arctan_samples(params, "gamma", L / 2.0)
     energies = box1d._levels(m, L, [gamma for _, gamma in samples], _SPECTRUM_LEVELS)[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,8 +212,7 @@ def cmd_dot(params: dict):
 
     grid, described = _dot_grid(params)
     gamma, m, count = params["gamma"], params["mass"], params["count"]
-    field = qdot_fd.RobinField.constant(gamma)
-    ham = qdot_fd.build_hamiltonian(grid, field, m)
+    ham = qdot_fd.build_hamiltonian(grid, gamma, m)
     if not 1 <= count <= grid.n_cells:
         raise InvalidArgumentError(f"count must be in [1, {grid.n_cells}], got {count}")
     # one level more than printed, so the flow check sees the top level's gap
@@ -225,7 +224,7 @@ def cmd_dot(params: dict):
 
     rows = []
     for n in range(count):
-        mom = qdot_fd.moments(grid, field, vectors[:, n])
+        mom = qdot_fd.moments(grid, gamma, vectors[:, n])
         rep = qdot_fd.uncertainty_general(mom, grid.d)
         lhs, rhs = flows[n] or (None, None)
         rows.append([n, float(energies[n]), rep.slack_general, rep.slack_nonhermitean, lhs, rhs])

