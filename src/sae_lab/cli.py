@@ -31,13 +31,7 @@ import sys
 import numpy as np
 
 from . import box1d, dirac_wall, hetero, wall_models
-from .errors import (
-    DegenerateStateError,
-    GridIOError,
-    InvalidArgumentError,
-    LabError,
-    SolverFailureError,
-)
+from .errors import GridIOError, InvalidArgumentError, LabError, SolverFailureError
 
 __all__ = ["build_parser", "main"]
 
@@ -107,13 +101,15 @@ def _arctan_samples(params: dict, name: str, scale: float):
 
     A single --<name> gives one sample; otherwise --<name>-steps samples run
     from --<name>-min to --<name>-max, each end defaulting to the matching
-    infinity.  An x that reaches +-pi/2 (the float value) maps to +-inf: for
-    the wall parameter that is the Dirichlet spectrum, which is also the
-    correct limit for any gamma too large to distinguish from the wall at
-    double precision.
+    infinity; a NaN single value is rejected.  An x that reaches +-pi/2 (the
+    float value) maps to +-inf: for the wall parameter that is the Dirichlet
+    spectrum, which is also the correct limit for any gamma too large to
+    distinguish from the wall at double precision.
     """
     single = params.get(name)
     if single is not None:
+        if math.isnan(single):
+            raise InvalidArgumentError(f"{name} must not be NaN")
         return [(math.atan(single * scale), single)]
     if scale == 0.0:
         raise InvalidArgumentError(f"the {name} scale underflows to 0, so no sweep can sample {name}")
@@ -225,7 +221,7 @@ def cmd_dot(params: dict):
     rows = []
     for n in range(count):
         mom = qdot_fd.moments(grid, gamma, vectors[:, n])
-        rep = qdot_fd.uncertainty_general(mom, grid.d)
+        rep = qdot_fd.uncertainty_general(mom)
         lhs, rhs = flows[n] or (None, None)
         rows.append([n, float(energies[n]), rep.slack_general, rep.slack_nonhermitean, lhs, rhs])
 
@@ -331,10 +327,8 @@ def cmd_hetero(params: dict):
 
 
 def cmd_dirac(params: dict):
-    m, c = params["mass"], params["light_speed"]
     rows = []
     for _, eta in _arctan_samples(params, "eta", 1.0):
-        dirac_wall.EtaWall(eta, m=m, c=c)  # rejects a NaN eta and a bad m or c
         # with p in units of m c, E/(m c^2) = sin(phi) - cos(phi) p, and the
         # decay rate/(m c) = cos(phi) + sin(phi) p changes sign at p = -cos/sin
         sin_phi, cos_phi = dirac_wall._mixing_parts(eta)
@@ -352,7 +346,7 @@ def cmd_dirac(params: dict):
         "threshold_momentum_over_mc",
         "normalizable_side",
     ]
-    return header, rows, {"mass": m, "light_speed": c, "rows": _KEYED_ROWS}
+    return header, rows, {"rows": _KEYED_ROWS}
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
         "dirac",
         help="domain-wall dispersion summary",
         description="Drift speed, chemical potential, and normalizability "
-        "threshold of domain-wall modes over an extension-parameter scan "
-        "sampled uniformly in arctan(eta).",
+        "threshold of domain-wall modes, in units of c, m c^2 and m c, over "
+        "an extension-parameter scan sampled uniformly in arctan(eta).",
     )
-    dr.add_argument("--mass", type=float, default=1.0, help="fermion mass (default 1)")
-    dr.add_argument("--light-speed", type=float, default=1.0, help="light speed (default 1)")
     dr.add_argument("--eta", type=float, default=None, help="single extension parameter instead of a scan")
     dr.add_argument("--eta-min", type=float, default=None, help="scan start (default -inf)")
     dr.add_argument("--eta-max", type=float, default=None, help="scan end (default +inf)")
@@ -489,7 +481,7 @@ def main(argv=None) -> int:
     except GridIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SolverFailureError, DegenerateStateError) as exc:
+    except SolverFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except LabError as exc:

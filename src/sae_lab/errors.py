@@ -27,10 +27,6 @@ class NotSelfAdjointError(LabError, ValueError):
     """A boundary-condition object fails its self-adjointness checks."""
 
 
-class DegenerateStateError(LabError, RuntimeError):
-    """An operation requires a nondegenerate eigenstate and did not get one."""
-
-
 class SolverFailureError(LabError, RuntimeError):
     """An iterative solver failed to converge or returned unusable output."""
 

@@ -22,6 +22,11 @@ With these choices a constant state on any shape gives <n.x> = d and
 <n> = 0 exactly, the spectral-flow identity dE/dgamma = <boundary density>/2m
 is exact, and the gradient form G = <p^2> - <gamma> is nonnegative, making
 the general uncertainty slack safely nonnegative for every eigenstate.
+
+Each input has one form: a potential is one value per cell, the dimension
+of an uncertainty report is that of its moments, and a Gaussian packet is
+its width alpha, center and complex wave vector beta (one number or d),
+from which ``minimal_packet_gamma`` builds the wall the packet saturates.
 """
 
 from __future__ import annotations
@@ -36,19 +41,13 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .errors import (
-    DegenerateStateError,
-    GridIOError,
-    InvalidArgumentError,
-    SolverFailureError,
-)
+from .errors import GridIOError, InvalidArgumentError, SolverFailureError
 
 __all__ = [
     "DomainGrid",
     "DiscreteHamiltonian",
     "Moments",
     "UncertaintyReport",
-    "GaussianPacket",
     "interval_grid",
     "rect_grid",
     "disk_grid",
@@ -128,12 +127,6 @@ class DomainGrid:
         centers[np.arange(self.n_faces), axes] += 0.5 * self.h * orients
         return centers
 
-    def face_normals(self) -> np.ndarray:
-        """(F, d) outward unit normals (axis-aligned by construction)."""
-        normals = np.zeros((self.n_faces, self.d))
-        normals[np.arange(self.n_faces), self.boundary_faces[:, 1]] = self.boundary_faces[:, 2]
-        return normals
-
 
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
@@ -188,32 +181,6 @@ class UncertaintyReport:
     dp: float
     rhs_nonhermitean: float
     slack_nonhermitean: float
-
-
-@dataclass(frozen=True)
-class GaussianPacket:
-    """exp(-alpha |x - center|^2 / 2 + i beta . (x - center)) with beta complex.
-
-    ``beta_r`` tilts the phase (mean momentum); ``beta_i`` shears the
-    envelope.  Both default to zero vectors.
-    """
-
-    alpha: float
-    center: np.ndarray
-    beta_r: np.ndarray | None = None
-    beta_i: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise InvalidArgumentError(f"packet width parameter must be positive, got {self.alpha}")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        d = len(self.center)
-        for name in ("beta_r", "beta_i"):
-            v = getattr(self, name)
-            v = np.zeros(d) if v is None else np.asarray(v, dtype=float)
-            if v.shape != (d,):
-                raise InvalidArgumentError(f"{name} must have {d} components")
-            object.__setattr__(self, name, v)
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +347,15 @@ def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHami
     """Assemble the sparse symmetric Hamiltonian for the dot.
 
     ``gamma`` is a number or one per boundary face (grid face order), +-inf
-    the Dirichlet wall.  ``V`` may be None, an array with one value per cell
-    (grid cell order), or a callable evaluated on the cell centers.
+    the Dirichlet wall.  ``V`` is None (no potential) or one value per cell
+    (grid cell order), e.g. ``V(grid.cell_centers)`` for a function V.
     """
     gammas = _face_gammas(grid, gamma)
     if not (math.isfinite(m) and m > 0):
         raise InvalidArgumentError(f"mass must be positive and finite, got {m}")
     n = grid.n_cells
     h = grid.h
-    if callable(V):
-        V_arr = np.asarray(V(grid.cell_centers), dtype=float)
-    elif V is None:
-        V_arr = np.zeros(n)
-    else:
-        V_arr = np.asarray(V, dtype=float)
+    V_arr = np.zeros(n) if V is None else np.asarray(V, dtype=float)
     if V_arr.shape != (n,):
         raise InvalidArgumentError(f"potential must have one value per cell ({n}), got {V_arr.shape}")
 
@@ -585,15 +547,16 @@ def moments(grid: DomainGrid, gamma, psi: np.ndarray) -> Moments:
 
 
 @_in_double_range
-def uncertainty_general(mom: Moments, d: int) -> UncertaintyReport:
+def uncertainty_general(mom: Moments) -> UncertaintyReport:
     """Evaluate both boundary-corrected uncertainty statements.
 
-    Raises DegenerateStateError when the state has no position spread.
+    The dimension d is that of the moments.  Raises InvalidArgumentError when
+    the state has no position spread (a one-cell dot, say).
     """
     if mom.var_x <= 0:
-        raise DegenerateStateError("state has zero position variance")
+        raise InvalidArgumentError("state has zero position variance")
     dx = math.sqrt(mom.var_x)
-    N = d + float(np.dot(mom.mean_n, mom.mean_x)) - mom.mean_nx
+    N = len(mom.mean_x) + float(np.dot(mom.mean_n, mom.mean_x)) - mom.mean_nx
     p2 = float(np.dot(mom.pbar, mom.pbar))
     n2 = float(np.dot(mom.mean_n, mom.mean_n))
     lhs = mom.mean_p2
@@ -643,22 +606,34 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray, 
     ]
 
 
-def minimal_packet_gamma(grid: DomainGrid, packet: GaussianPacket):
+def minimal_packet_gamma(grid: DomainGrid, alpha: float, center, beta=0.0):
     """Boundary field matched to a Gaussian packet, plus its saturation report.
 
-    The matched field gamma(x) = alpha n.(x - center) + n.beta_i (evaluated at
-    face centers) makes the packet satisfy the Robin condition up to the
-    normal phase gradient, so the product-form uncertainty bound saturates up
-    to O(h) discretization error; the returned report quantifies it.
+    The packet is exp(-alpha |x - center|^2 / 2 + i beta . (x - center)), with
+    ``beta`` one complex number for every axis or d of them: Re beta tilts
+    the phase (the mean momentum) and Im beta shears the envelope.  The
+    matched field gamma_f = alpha n.(x_f - center) + n.Im beta, at each face
+    center x_f with outward normal n, makes the packet satisfy the Robin
+    condition up to the normal phase gradient, so the product-form
+    uncertainty bound saturates up to O(h) discretization error; the
+    returned report quantifies it.
     """
-    if packet.center.shape != (grid.d,):
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidArgumentError(f"packet width parameter must be positive, got {alpha}")
+    center = np.asarray(center, dtype=float)
+    if center.shape != (grid.d,):
         raise InvalidArgumentError(f"packet center must have {grid.d} components")
-    rel_face = grid.face_centers() - packet.center
-    normals = grid.face_normals()
-    gammas = packet.alpha * np.sum(normals * rel_face, axis=1) + normals @ packet.beta_i
+    beta = np.array(beta, dtype=complex)
+    if beta.ndim == 0:
+        beta = np.full(grid.d, beta)
+    if beta.shape != (grid.d,):
+        raise InvalidArgumentError(f"beta must have {grid.d} components")
+    # faces are axis-aligned: n.v = orient * v[axis]
+    _, axes, orients = grid.boundary_faces.T
+    rel_face = grid.face_centers() - center
+    gammas = alpha * (orients * rel_face[np.arange(grid.n_faces), axes]) + orients * beta.imag[axes]
 
-    rel = grid.cell_centers - packet.center
-    beta = packet.beta_r + 1j * packet.beta_i
-    psi = np.exp(-0.5 * packet.alpha * np.sum(rel**2, axis=1) + 1j * rel @ beta)
-    report = uncertainty_general(moments(grid, gammas, psi), grid.d)
+    rel = grid.cell_centers - center
+    psi = np.exp(-0.5 * alpha * np.sum(rel**2, axis=1) + 1j * rel @ beta)
+    report = uncertainty_general(moments(grid, gammas, psi))
     return gammas, report
