@@ -128,12 +128,39 @@ class DomainGrid:
         return centers
 
 
+class _Part:
+    """One connected part of a d >= 2 dot: its cells and its block of the matrix.
+
+    ``factor`` is (sigma, LU of block - sigma I) with sigma below the
+    block's Gershgorin bound, built on first use.  That shifted block is
+    positive definite, so it is factored without pivoting under a symmetric
+    fill-reducing ordering, about half the fill of a pivoted LU.
+    """
+
+    def __init__(self, cells: np.ndarray, matrix: sp.csr_matrix):
+        self.cells = cells
+        self.matrix = matrix
+
+    @functools.cached_property
+    def factor(self):
+        A = self.matrix
+        diag = A.diagonal()
+        row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
+        sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
+        shifted = (A - sigma * sp.identity(A.shape[0], format="csr")).tocsc()
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return sigma, lu
+
+
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
     """Assembled sparse symmetric Hamiltonian plus its ingredients.
 
     Immutable after assembly.  The ingredients (``gamma`` as passed in, a
-    number or one per face) let the spectral-flow check rebuild it nearby.
+    number or one per face) let the spectral-flow check assemble the
+    Hamiltonian at gamma +- step.  In d >= 2 the connected parts, each with
+    its shifted LU factor, are built on first use and shared by every solve
+    on this Hamiltonian, so the flow check refactors nothing.
     """
 
     matrix: sp.csr_matrix
@@ -141,6 +168,14 @@ class DiscreteHamiltonian:
     V: np.ndarray
     grid: DomainGrid
     gamma: float | np.ndarray
+
+    @functools.cached_property
+    def _parts(self) -> list[_Part]:
+        """The connected parts of the dot (d >= 2), in label order."""
+        A = self.matrix
+        _, labels = connected_components(A, directed=False)
+        cells = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+        return [_Part(c, A[c][:, c]) for c in cells]
 
 
 @dataclass(frozen=True)
@@ -383,26 +418,23 @@ def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHami
     return DiscreteHamiltonian(matrix, float(m), V_arr, grid, gamma)
 
 
-def _lowest_pairs(A: sp.csr_matrix, count: int):
+def _lowest_pairs(part: _Part, count: int):
     """The ``count`` lowest eigenpairs of one connected part, unit l2 vectors.
 
-    Shift-invert Lanczos, or a dense solve for the whole spectrum, which
-    Lanczos cannot return.  One start vector sees the further copies of a
-    multiple level only through rounding, and a tight cluster of levels
-    needs a wide basis to converge.  So the basis holds at least 60
-    vectors, not ARPACK's 20, and the complement of the pairs found is
-    searched again, from a fresh start, until it holds no level below the
-    top one found.
+    Shift-invert Lanczos on the part's shared factor, or a dense solve for
+    the whole spectrum, which Lanczos cannot return.  One start vector sees
+    the further copies of a multiple level only through rounding, and a
+    tight cluster of levels needs a wide basis to converge.  So the basis
+    holds at least 60 vectors, not ARPACK's 20, and the complement of the
+    pairs found is searched again, from a fresh start, until it holds no
+    level below the top one found.
     """
+    A = part.matrix
     n = A.shape[0]
     if count == n:
         return eigh(A.toarray())
-    # shift below the spectrum (Gershgorin), factor once, invert-iterate
-    diag = A.diagonal()
-    row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
-    sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
     try:
-        lu = splu((A - sigma * sp.identity(n, format="csr")).tocsc())
+        sigma, lu = part.factor
         op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         v0 = np.sin(np.arange(1, n + 1))
         # ARPACK may ask for a random restart vector; a seeded generator
@@ -429,13 +461,76 @@ def _lowest_pairs(A: sp.csr_matrix, count: int):
     return w[order], v[:, order]
 
 
+def _orthonormal(S: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the span of S's columns, without directions the others hold.
+
+    SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23 (2002)) on the columns
+    scaled to unit length: directions whose Gram eigenvalue is below 1e-12
+    of the largest are dropped.  A second pass repairs the orthogonality the
+    first lost to rounding.
+    """
+    for _ in range(2):
+        G = S.T @ S
+        g = np.diag(G)
+        d = 1.0 / np.sqrt(np.where(g > 0, g, np.inf))  # a zero column stays zero
+        mu, V = np.linalg.eigh(G * d * d[:, np.newaxis])
+        keep = mu > 1e-12 * mu[-1]
+        S = S @ (d[:, np.newaxis] * V[:, keep] / np.sqrt(mu[keep]))
+    return S
+
+
+def _lobpcg(B: sp.csr_matrix, X: np.ndarray, solve, maxiter: int = 100) -> np.ndarray:
+    """The k lowest eigenvectors of symmetric ``B`` from the k orthonormal columns of ``X``.
+
+    Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001)): each step takes
+    the Rayleigh-Ritz pairs of span{X, solve(R), P}, with R the residual
+    block and P the previous step's update.  The basis drops directions the
+    span already holds: the residuals of a separable rectangle's levels are
+    linearly dependent, which stops scipy's ``lobpcg`` at its first
+    Cholesky factorization.  Runs until every residual norm is within half
+    the bound ``solve_lowest`` checks, or for ``maxiter`` steps.  A shift
+    far below the lowest level, under a strongly binding wall, takes 25
+    steps on the 51k-cell disk at gamma = -3.
+    """
+    k = X.shape[1]
+    BX = B @ X
+    w, Y = np.linalg.eigh(X.T @ BX)
+    X, BX = X @ Y, BX @ Y
+    P = np.empty((len(X), 0))
+    for _ in range(maxiter):
+        R = BX - X * w
+        if np.all(np.einsum("ik,ik->k", R, R) <= (0.5 * _residual_bound(w)) ** 2):
+            break
+        Q = _orthonormal(np.column_stack([X, solve(R), P]))
+        theta, Y = np.linalg.eigh(Q.T @ (B @ Q))
+        new, w = Q @ Y[:, :k], theta[:k]
+        P, X = new - X @ (X.T @ new), new
+        BX = B @ X
+    return X
+
+
+def _residual_bound(w: np.ndarray) -> np.ndarray:
+    """The largest residual norm accepted for unit eigenvectors of the levels w."""
+    return 1e-8 * np.maximum(1.0, np.abs(w))
+
+
+def _check_residuals(A: sp.csr_matrix, w: np.ndarray, v: np.ndarray, where: str = "") -> None:
+    """Raise SolverFailureError unless every unit l2 pair has ||A v_k - w_k v_k|| within the bound."""
+    resid = A @ v - v * w[np.newaxis, :]
+    for kcol, tol in enumerate(_residual_bound(w)):
+        r = np.linalg.norm(resid[:, kcol])
+        if not np.isfinite(r) or r > tol:
+            raise SolverFailureError(f"eigenpair {kcol}{where} residual {r:.2e} exceeds {tol:.2e}")
+
+
 def solve_lowest(ham: DiscreteHamiltonian, count: int):
     """The ``count`` lowest eigenpairs, vectors normalized to sum h^d psi^2 = 1.
 
     One route per dimension: the direct tridiagonal solver in d = 1, and in
     d >= 2 shift-invert Lanczos on each connected part of the dot, whose
     parts (a thin rasterized annulus, say) share eigenvalues exactly that one
-    start vector cannot tell apart.  Every returned pair is residual-checked.
+    start vector cannot tell apart.  The columns a part contributes are its
+    own lowest levels.  Every returned pair is residual-checked.
     """
     A = ham.matrix
     n = A.shape[0]
@@ -449,25 +544,17 @@ def solve_lowest(ham: DiscreteHamiltonian, count: int):
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(f"tridiagonal eigensolver failed: {exc}") from None
     else:
-        _, labels = connected_components(A, directed=False)
-        parts = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-        pairs = [_lowest_pairs(A[cells][:, cells], min(count, len(cells))) for cells in parts]
+        parts = ham._parts
+        pairs = [_lowest_pairs(part, min(count, len(part.cells))) for part in parts]
         found = sorted((e, p, j) for p, (pw, _) in enumerate(pairs) for j, e in enumerate(pw))[:count]
         w, v = np.array([e for e, _, _ in found]), np.zeros((n, count))
         for col, (_, p, j) in enumerate(found):
-            v[parts[p], col] = pairs[p][1][:, j]
+            v[parts[p].cells, col] = pairs[p][1][:, j]
 
     # fixed sign: largest-magnitude component positive
     lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v[:, lead < 0] *= -1
-    resid = A @ v - v * w[np.newaxis, :]
-    for kcol in range(v.shape[1]):
-        tol = 1e-8 * max(1.0, abs(w[kcol]))
-        r = np.linalg.norm(resid[:, kcol])
-        if not np.isfinite(r) or r > tol:
-            raise SolverFailureError(
-                f"eigenpair {kcol} residual {r:.2e} exceeds {tol:.2e}"
-            )
+    _check_residuals(A, w, v)
     v = v / grid.h ** (grid.d / 2.0)
     return w, v
 
@@ -580,22 +667,28 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray, 
 
     ``w, v = solve_lowest(ham, count)`` for a finite uniform gamma.  Returns
     one (lhs, rhs) per level: lhs the centered difference of the eigenvalue
-    under gamma -> gamma +- h_gamma (one solve each way for all levels), rhs
-    = sum_f h^(d-1) rho_f / 2m from the vectors in hand (Hellmann-Feynman).
-    A level within 1e-8 max(1, |E|) of a solved neighbor is degenerate, its
-    derivative undefined: it gets None.  The top level has no solved
-    neighbor above, so solve one level more than needed, unless ``count``
-    is the whole spectrum.
+    under gamma -> gamma +- h_gamma, rhs = sum_f h^(d-1) rho_f / 2m from
+    the vectors in hand (Hellmann-Feynman).  In d = 1 each side is one
+    tridiagonal solve.  In d >= 2 each connected part's vectors at gamma +-
+    h_gamma come from block LOBPCG started at the part's solved vectors and
+    preconditioned by the LU factor that solved them, so nothing is
+    refactored, and each level is its vector's Rayleigh quotient, summed
+    term by term.  Every pair at gamma +- h_gamma passes the residual check
+    of ``solve_lowest``.  A level within 1e-8 max(1, |E|) of a solved neighbor
+    is degenerate, its derivative undefined: it gets None.  The top level
+    has no solved neighbor above, so solve one level more than needed,
+    unless ``count`` is the whole spectrum.
     """
     gamma, grid, m = ham.gamma, ham.grid, ham.m
     if np.ndim(gamma) or not math.isfinite(gamma):
         raise InvalidArgumentError("spectral flow needs a finite uniform gamma")
-    if h_gamma <= 0:
-        raise InvalidArgumentError(f"step must be positive, got {h_gamma}")
-    w_up, w_down = (
-        solve_lowest(build_hamiltonian(grid, g, m, ham.V), len(w))[0]
-        for g in (gamma + h_gamma, gamma - h_gamma)
-    )
+    if not (math.isfinite(h_gamma) and h_gamma > 0):
+        raise InvalidArgumentError(f"step must be positive and finite, got {h_gamma}")
+    nearby = (build_hamiltonian(grid, g, m, ham.V) for g in (gamma + h_gamma, gamma - h_gamma))
+    if grid.d == 1:
+        w_up, w_down = (solve_lowest(near, len(w))[0] for near in nearby)
+    else:
+        w_up, w_down = (_nearby_levels(ham, near, v) for near in nearby)
     lhs = (w_up - w_down) / (2.0 * h_gamma)
     rhs = grid.h ** (grid.d - 1) * np.sum(v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
     gap = np.abs(np.diff(w))
@@ -604,6 +697,55 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray, 
         None if near < 1e-8 * max(1.0, abs(e)) else (float(a), float(b))
         for e, near, a, b in zip(w, nearest, lhs, rhs)
     ]
+
+
+def _nearby_levels(ham: DiscreteHamiltonian, near: DiscreteHamiltonian, v: np.ndarray) -> np.ndarray:
+    """The levels of ``near``, a small change of ``ham`` (d >= 2), that continue ``v``.
+
+    Each column of ``v = solve_lowest(ham, count)[1]`` lives on one
+    connected part, and a part's columns are its k lowest levels.  They
+    start block LOBPCG on the part's block of ``near.matrix``,
+    preconditioned by the part's shared factor, one block solve per step.
+    A part that ``solve_lowest`` solved densely (no more cells than
+    levels asked for), or of fewer than 5k cells, too few for the block
+    iteration, is solved densely again.  Every pair is residual-checked,
+    and each level is its vector's Rayleigh quotient.
+    """
+    x = np.zeros_like(v)
+    for part in ham._parts:
+        cols = np.flatnonzero(np.any(v[part.cells] != 0, axis=0))
+        if not len(cols):
+            continue
+        n, rows = len(part.cells), np.ix_(part.cells, cols)
+        block = near.matrix[part.cells][:, part.cells]
+        if n <= v.shape[1] or n < 5 * len(cols):
+            x[rows] = eigh(block.toarray(), subset_by_index=[0, len(cols) - 1])[1]
+        else:
+            start = v[rows]
+            x[rows] = _lobpcg(block, start / np.linalg.norm(start, axis=0), part.factor[1].solve)
+    w = _rayleigh_quotients(near, x)
+    _check_residuals(near.matrix, w, x, f" at gamma {near.gamma!r}")
+    return w
+
+
+def _rayleigh_quotients(ham: DiscreteHamiltonian, x: np.ndarray) -> np.ndarray:
+    """x_k^T A x_k / x_k^T x_k for the columns x_k, summed as the assembly's terms.
+
+    Squared differences across links, plus the face and potential terms.
+    Multiplying by the matrix instead cancels hoppings against diagonal
+    entries of 2d/(2 m h^2), an absolute rounding of about eps ||A|| that a
+    centered difference over a small gamma step magnifies.  Each column is
+    summed on its own, contiguous, so that numpy adds pairwise.
+    """
+    grid, m, h = ham.grid, ham.m, ham.grid.h
+    face = _face_gammas(grid, ham.gamma) / (2.0 * (m * h))
+    levels = []
+    for col in x.T:
+        col = np.ascontiguousarray(col)
+        step = col[grid.links[:, 0]] - col[grid.links[:, 1]]
+        energy = np.sum(step * step) / (2.0 * (m * h * h)) + np.sum(face * col[grid.boundary_faces[:, 0]] ** 2)
+        levels.append((energy + np.sum(ham.V * col * col)) / np.sum(col * col))
+    return np.array(levels)
 
 
 def minimal_packet_gamma(grid: DomainGrid, alpha: float, center, beta=0.0):

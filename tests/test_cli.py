@@ -211,20 +211,43 @@ def test_dot_bad_grid_files_exit_3_with_a_short_message(tmp_path, capsys):
         assert len(err) < 200 + len(str(bad))
 
 
-@pytest.mark.parametrize("gamma, solves", [("1", 3), ("inf", 1)])
-def test_dot_solves_once_per_gamma(gamma, solves, monkeypatch, capsys):
-    # one solve at gamma, plus one at each of gamma +- step for the flow check
-    calls = []
-    real = qdot_fd.solve_lowest
+def count_dot_calls(argv, monkeypatch, capsys):
+    """(LU factorizations, solve_lowest calls) of one successful dot run."""
+    calls = {"splu": 0, "solve_lowest": 0}
 
-    def counting(ham, count):
-        calls.append(count)
-        return real(ham, count)
+    def counting(name):
+        real = getattr(qdot_fd, name)
 
-    monkeypatch.setattr(qdot_fd, "solve_lowest", counting)
-    rc, _, _ = run_cli(["dot", "--shape", "disk", "--resolution", "64", "--gamma", gamma], capsys)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qdot_fd, name, counting(name))
+    rc, _, _ = run_cli(argv, capsys)
     assert rc == 0
-    assert len(calls) == solves
+    return calls["splu"], calls["solve_lowest"]
+
+
+@pytest.mark.parametrize("gamma", ["1", "inf"])
+def test_dot_factors_once(gamma, monkeypatch, capsys):
+    # one factor serves the solve at gamma and the flow check at gamma +- step
+    argv = ["dot", "--shape", "disk", "--resolution", "64", "--gamma", gamma]
+    assert count_dot_calls(argv, monkeypatch, capsys) == (1, 1)
+
+
+def test_dot_factors_once_per_part(tmp_path, monkeypatch, capsys):
+    # three blocks of different sizes, so their levels interleave, and a
+    # 2 x 3 block with a level among the lowest six, which is solved densely
+    # and never factored
+    mask = np.zeros((40, 12), dtype=bool)
+    mask[:10, :8] = mask[14:25, :7] = mask[29:, 2:] = mask[10:12, 9:] = True
+    path = tmp_path / "blocks.grid"
+    qdot_fd.write_grid(qdot_fd.DomainGrid(mask, 0.05), path)
+    argv = ["dot", "--grid", str(path), "--gamma", "0.1"]
+    assert count_dot_calls(argv, monkeypatch, capsys) == (3, 1)
 
 
 def test_solver_failure_maps_to_exit_4(monkeypatch, capsys):

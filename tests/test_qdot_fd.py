@@ -10,15 +10,18 @@ solver or asserts identities that hold exactly in the discrete model.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from sae_lab import qdot_fd
 from sae_lab.box1d import BoxSpec, solve_spectrum
 from sae_lab.errors import (
     GridIOError,
     InvalidArgumentError,
+    SolverFailureError,
 )
 from sae_lab.qdot_fd import (
     DomainGrid,
@@ -253,6 +256,71 @@ def test_spectral_flow_degenerate_level_rejected():
     assert flows[1] is None and flows[2] is None
     with pytest.raises(InvalidArgumentError):
         spectral_flow_check(build_hamiltonian(grid, math.inf, 1.0), w, v)
+
+
+def blocks_grid():
+    """Four disconnected rectangles of different sizes, one of 2 x 2 cells."""
+    mask = np.zeros((40, 12), dtype=bool)
+    mask[:10, :8] = mask[14:25, :7] = mask[29:, 2:] = mask[11:13, 10:] = True
+    return DomainGrid(mask, 0.05)
+
+
+@pytest.mark.parametrize(
+    "grid, gamma",
+    [
+        (disk_grid(0.5, 48), -3.0),
+        (disk_grid(0.5, 48), 0.0),
+        (disk_grid(0.5, 48), 1.5),
+        (rect_grid(1.0, 0.75, 24), 1.0),
+        # one ring of weakly joined blobs; four parts whose levels
+        # interleave, the 2 x 2 block's ground state among them at gamma 0.1
+        (annulus_grid(0.46, 0.5, 45), 1.5),
+        (blocks_grid(), 0.1),
+        (blocks_grid(), 1.5),
+        (ball_grid(12), 1.0),
+        (box_grid(), 1.0),
+    ],
+    ids=["disk-48-3", "disk-48+0", "disk-48+1.5", "rect-24", "ring", "blocks+0.1", "blocks+1.5", "ball-12", "box"],
+)
+def test_spectral_flow_matches_full_re_solves(grid, gamma):
+    # the reference: a full solve of the Hamiltonian at each of gamma +- step
+    count, step = 6, 1e-5
+    ham = build_hamiltonian(grid, gamma, 1.0)
+    w, v = solve_lowest(ham, count)
+    flows = spectral_flow_check(ham, w, v, h_gamma=step)
+    up, down = (solve_lowest(build_hamiltonian(grid, g, 1.0), count)[0] for g in (gamma + step, gamma - step))
+    checked = 0
+    for flow, ref in zip(flows, (up - down) / (2 * step)):
+        if flow is not None:
+            assert flow[0] == pytest.approx(ref, rel=1e-6)
+            checked += 1
+    assert checked >= 1
+    # bit-identical on the shared factor and on a fresh one
+    assert spectral_flow_check(ham, w, v, h_gamma=step) == flows
+    assert spectral_flow_check(build_hamiltonian(grid, gamma, 1.0), w, v, h_gamma=step) == flows
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, -1.0])
+def test_spectral_flow_rejects_bad_steps(step):
+    grid = disk_grid(0.5, 24)
+    ham = build_hamiltonian(grid, 1.0, 1.0)
+    w, v = solve_lowest(ham, 4)
+    with pytest.raises(InvalidArgumentError, match="step must be positive and finite"):
+        spectral_flow_check(ham, w, v, h_gamma=step)
+
+
+def test_spectral_flow_checks_every_nearby_pair(monkeypatch):
+    # one LOBPCG step leaves residuals far above the bound: the check, not
+    # the iteration, decides, and no warning escapes
+    real = qdot_fd._lobpcg
+    monkeypatch.setattr(qdot_fd, "_lobpcg", lambda B, X, solve: real(B, X, solve, maxiter=1))
+    grid = disk_grid(0.5, 24)
+    ham = build_hamiltonian(grid, 1.0, 1.0)
+    w, v = solve_lowest(ham, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailureError, match="at gamma 1.00001 residual"):
+            spectral_flow_check(ham, w, v)
 
 
 def test_gaussian_packet_saturation_first_order():
