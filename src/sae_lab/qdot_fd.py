@@ -514,13 +514,38 @@ def _residual_bound(w: np.ndarray) -> np.ndarray:
     return 1e-8 * np.maximum(1.0, np.abs(w))
 
 
-def _check_residuals(A: sp.csr_matrix, w: np.ndarray, v: np.ndarray, where: str = "") -> None:
-    """Raise SolverFailureError unless every unit l2 pair has ||A v_k - w_k v_k|| within the bound."""
-    resid = A @ v - v * w[np.newaxis, :]
-    for kcol, tol in enumerate(_residual_bound(w)):
-        r = np.linalg.norm(resid[:, kcol])
-        if not np.isfinite(r) or r > tol:
+def _form_sums(grid: DomainGrid, gammas: np.ndarray, V, x: np.ndarray) -> np.ndarray:
+    """Rows sum_links |x_i - x_j|^2, sum_faces gamma_f |x_f|^2, sum V |x|^2, sum |x|^2 per column of x.
+
+    Differences, not x^T A x, whose hoppings cancel diagonal entries of
+    2d/(2 m h^2) to an absolute eps ||A||: eps n^2 relative on the lowest
+    level, magnified by the flow check's small gamma step.  Each column is
+    summed on its own contiguous copy: numpy adds pairwise only along a
+    contiguous axis.
+    """
+    i, j, cells = grid.links[:, 0], grid.links[:, 1], grid.boundary_faces[:, 0]
+    sums = np.empty((4, x.shape[1]))
+    for k, col in enumerate(x.T):
+        col = np.ascontiguousarray(col)
+        rho = np.abs(col) ** 2
+        sums[:, k] = np.sum(np.abs(col[i] - col[j]) ** 2), np.sum(gammas * rho[cells]), np.sum(V * rho), np.sum(rho)
+    return sums
+
+
+def _checked_levels(ham: DiscreteHamiltonian, x: np.ndarray, where: str = "") -> np.ndarray:
+    """E_k = (link/(2 m h^2) + face/(2 m h) + potential)/norm of each column x_k, from ``_form_sums``.
+
+    That is mean_p2/2m + <V> of ``moments``.  Raises SolverFailureError
+    unless every ||A x_k - E_k x_k|| is within ``_residual_bound``.
+    """
+    grid, m, h = ham.grid, ham.m, ham.grid.h
+    link, face, potential, norm = _form_sums(grid, _face_gammas(grid, ham.gamma), ham.V, x)
+    w = (link / (2.0 * (m * h * h)) + face / (2.0 * (m * h)) + potential) / norm
+    resid = np.linalg.norm(ham.matrix @ x - x * w, axis=0)
+    for kcol, (r, tol) in enumerate(zip(resid, _residual_bound(w))):
+        if not r <= tol:
             raise SolverFailureError(f"eigenpair {kcol}{where} residual {r:.2e} exceeds {tol:.2e}")
+    return w
 
 
 def solve_lowest(ham: DiscreteHamiltonian, count: int):
@@ -530,33 +555,34 @@ def solve_lowest(ham: DiscreteHamiltonian, count: int):
     d >= 2 shift-invert Lanczos on each connected part of the dot, whose
     parts (a thin rasterized annulus, say) share eigenvalues exactly that one
     start vector cannot tell apart.  The columns a part contributes are its
-    own lowest levels.  Every returned pair is residual-checked.
+    own lowest levels.  On every route a level is its vector's difference-form
+    energy (``_checked_levels``), not the solver's eigenvalue; levels ascend,
+    and every returned pair is residual-checked.
     """
-    A = ham.matrix
-    n = A.shape[0]
+    A, n = ham.matrix, ham.grid.n_cells
     if not 1 <= count <= n:
         raise InvalidArgumentError(f"count must be in [1, {n}], got {count}")
     grid = ham.grid
 
     if grid.d == 1:
         try:
-            w, v = eigh_tridiagonal(A.diagonal(), A.diagonal(k=1), select="i", select_range=(0, count - 1))
+            _, v = eigh_tridiagonal(A.diagonal(), A.diagonal(k=1), select="i", select_range=(0, count - 1))
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(f"tridiagonal eigensolver failed: {exc}") from None
     else:
         parts = ham._parts
         pairs = [_lowest_pairs(part, min(count, len(part.cells))) for part in parts]
         found = sorted((e, p, j) for p, (pw, _) in enumerate(pairs) for j, e in enumerate(pw))[:count]
-        w, v = np.array([e for e, _, _ in found]), np.zeros((n, count))
+        v = np.zeros((n, count))
         for col, (_, p, j) in enumerate(found):
             v[parts[p].cells, col] = pairs[p][1][:, j]
 
     # fixed sign: largest-magnitude component positive
     lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v[:, lead < 0] *= -1
-    _check_residuals(A, w, v)
-    v = v / grid.h ** (grid.d / 2.0)
-    return w, v
+    w = _checked_levels(ham, v)
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order] / grid.h ** (grid.d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +619,16 @@ def moments(grid: DomainGrid, gamma, psi: np.ndarray) -> Moments:
 
     ``gamma`` is as in ``build_hamiltonian``; ``psi`` may be real or complex,
     renormalized to sum h^d |psi|^2 = 1 before anything is measured.
+    ``mean_p2`` and ``mean_gamma`` come from the sums that give
+    ``solve_lowest`` its levels, so mean_p2/2m + <V> is a state's level.
     """
     psi = np.asarray(psi)
     if psi.shape != (grid.n_cells,):
         raise InvalidArgumentError(f"state must have one value per cell ({grid.n_cells})")
     h = grid.h
     hd = h**grid.d
-    norm2 = hd * float(np.sum(np.abs(psi) ** 2))
+    link, face, _, norm = _form_sums(grid, _face_gammas(grid, gamma), 0.0, psi[:, np.newaxis])[:, 0]
+    norm2 = hd * norm
     if norm2 <= 0 or not math.isfinite(norm2):
         raise InvalidArgumentError("state has zero or non-finite norm")
     psi = psi / math.sqrt(norm2)
@@ -608,17 +637,11 @@ def moments(grid: DomainGrid, gamma, psi: np.ndarray) -> Moments:
     mean_x = hd * rho @ grid.cell_centers
     var_x = float(hd * np.sum(rho * np.sum(grid.cell_centers**2, axis=1)) - np.dot(mean_x, mean_x))
 
-    i = grid.links[:, 0]
-    j = grid.links[:, 1]
-    grad_sq = float(np.sum(np.abs(psi[i] - psi[j]) ** 2)) * h ** (grid.d - 2)
-
-    cells = grid.boundary_faces[:, 0]
-    axes = grid.boundary_faces[:, 1]
-    orients = grid.boundary_faces[:, 2]
+    cells, axes, orients = grid.boundary_faces.T
     hd1 = h ** (grid.d - 1)
     rho_f = rho[cells]
-    gammas = _face_gammas(grid, gamma)
-    mean_gamma = float(hd1 * np.sum(gammas * rho_f))
+    # each sum over the norm first, so that no step exceeds <p^2> ~ 1/h^2
+    mean_gamma = float(face / norm / h)
     mean_n = np.zeros(grid.d)
     np.add.at(mean_n, axes, hd1 * orients * rho_f)
     # n . x at a face reduces to orient * x_cell[axis] + h/2
@@ -630,7 +653,8 @@ def moments(grid: DomainGrid, gamma, psi: np.ndarray) -> Moments:
     rel = grid.cell_centers - mean_x
     xp_bar = float(hd * np.imag(np.einsum("i,id,id->", np.conj(psi), rel, grad)))
 
-    return Moments(mean_x, var_x, grad_sq + mean_gamma, pbar, xp_bar, mean_n, mean_nx, mean_gamma)
+    mean_p2 = float((link / norm / h + face / norm) / h)
+    return Moments(mean_x, var_x, mean_p2, pbar, xp_bar, mean_n, mean_nx, mean_gamma)
 
 
 @_in_double_range
@@ -666,18 +690,18 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray, 
     """Compare dE/dgamma of every solved level against the boundary-density formula.
 
     ``w, v = solve_lowest(ham, count)`` for a finite uniform gamma.  Returns
-    one (lhs, rhs) per level: lhs the centered difference of the eigenvalue
+    one (lhs, rhs) per level: lhs the centered difference of the level
     under gamma -> gamma +- h_gamma, rhs = sum_f h^(d-1) rho_f / 2m from
     the vectors in hand (Hellmann-Feynman).  In d = 1 each side is one
-    tridiagonal solve.  In d >= 2 each connected part's vectors at gamma +-
+    ``solve_lowest``.  In d >= 2 each connected part's vectors at gamma +-
     h_gamma come from block LOBPCG started at the part's solved vectors and
     preconditioned by the LU factor that solved them, so nothing is
-    refactored, and each level is its vector's Rayleigh quotient, summed
-    term by term.  Every pair at gamma +- h_gamma passes the residual check
-    of ``solve_lowest``.  A level within 1e-8 max(1, |E|) of a solved neighbor
-    is degenerate, its derivative undefined: it gets None.  The top level
-    has no solved neighbor above, so solve one level more than needed,
-    unless ``count`` is the whole spectrum.
+    refactored.  On both routes a level at gamma +- h_gamma is its vector's
+    difference-form energy, as in ``solve_lowest``, and every such pair
+    passes its residual check.  A level closer to a solved neighbor than
+    that check's bound is degenerate, its derivative undefined: it gets
+    None.  The top level has no solved neighbor above, so solve one level
+    more than needed, unless ``count`` is the whole spectrum.
     """
     gamma, grid, m = ham.gamma, ham.grid, ham.m
     if np.ndim(gamma) or not math.isfinite(gamma):
@@ -693,10 +717,8 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray, 
     rhs = grid.h ** (grid.d - 1) * np.sum(v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
     gap = np.abs(np.diff(w))
     nearest = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
-    return [
-        None if near < 1e-8 * max(1.0, abs(e)) else (float(a), float(b))
-        for e, near, a, b in zip(w, nearest, lhs, rhs)
-    ]
+    degenerate = nearest < _residual_bound(w)
+    return [None if d else (float(a), float(b)) for d, a, b in zip(degenerate, lhs, rhs)]
 
 
 def _nearby_levels(ham: DiscreteHamiltonian, near: DiscreteHamiltonian, v: np.ndarray) -> np.ndarray:
@@ -708,8 +730,7 @@ def _nearby_levels(ham: DiscreteHamiltonian, near: DiscreteHamiltonian, v: np.nd
     preconditioned by the part's shared factor, one block solve per step.
     A part that ``solve_lowest`` solved densely (no more cells than
     levels asked for), or of fewer than 5k cells, too few for the block
-    iteration, is solved densely again.  Every pair is residual-checked,
-    and each level is its vector's Rayleigh quotient.
+    iteration, is solved densely again.  Levels are ``_checked_levels``.
     """
     x = np.zeros_like(v)
     for part in ham._parts:
@@ -723,29 +744,7 @@ def _nearby_levels(ham: DiscreteHamiltonian, near: DiscreteHamiltonian, v: np.nd
         else:
             start = v[rows]
             x[rows] = _lobpcg(block, start / np.linalg.norm(start, axis=0), part.factor[1].solve)
-    w = _rayleigh_quotients(near, x)
-    _check_residuals(near.matrix, w, x, f" at gamma {near.gamma!r}")
-    return w
-
-
-def _rayleigh_quotients(ham: DiscreteHamiltonian, x: np.ndarray) -> np.ndarray:
-    """x_k^T A x_k / x_k^T x_k for the columns x_k, summed as the assembly's terms.
-
-    Squared differences across links, plus the face and potential terms.
-    Multiplying by the matrix instead cancels hoppings against diagonal
-    entries of 2d/(2 m h^2), an absolute rounding of about eps ||A|| that a
-    centered difference over a small gamma step magnifies.  Each column is
-    summed on its own, contiguous, so that numpy adds pairwise.
-    """
-    grid, m, h = ham.grid, ham.m, ham.grid.h
-    face = _face_gammas(grid, ham.gamma) / (2.0 * (m * h))
-    levels = []
-    for col in x.T:
-        col = np.ascontiguousarray(col)
-        step = col[grid.links[:, 0]] - col[grid.links[:, 1]]
-        energy = np.sum(step * step) / (2.0 * (m * h * h)) + np.sum(face * col[grid.boundary_faces[:, 0]] ** 2)
-        levels.append((energy + np.sum(ham.V * col * col)) / np.sum(col * col))
-    return np.array(levels)
+    return _checked_levels(near, x, f" at gamma {near.gamma!r}")
 
 
 def minimal_packet_gamma(grid: DomainGrid, alpha: float, center, beta=0.0):

@@ -565,9 +565,13 @@ def test_masses_up_to_the_largest_double(capsys):
         capsys,
     )
     assert rc == 0
-    # the Neumann square's first excited level is t = 1/(2 m h^2)
+    # the Neumann square's levels are 0 and t = 1/(2 m h^2), each its vector's
+    # difference-form energy, so within a few ulp of t
     h = 1e-150 / 3
-    assert float(parse_csv(out)[1][1][1]) == pytest.approx(1.0 / (2.0 * (big * h * h)), rel=1e-7)
+    t = 1.0 / (2.0 * (big * h * h))
+    e0, e1 = (float(row[1]) for row in parse_csv(out)[1])
+    assert abs(e1 - t) <= 4 * math.ulp(t)
+    assert abs(e0) <= 4 * math.ulp(t)
 
 
 _WIDE = st.one_of(

@@ -223,6 +223,27 @@ def test_eigenstate_slack_nonnegative_on_shapes():
                 assert rep.lhs == pytest.approx(2.0 * w[kcol], rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "grid, gamma, V, m",
+    [
+        (interval_grid(1.0, 2000), -3.0, None, 1.0),
+        (interval_grid(1.0, 2000), 1.0, None, 1.0),
+        (interval_grid(1.0, 2000), 5.0, None, 1.0),
+        (disk_grid(0.5, 48), -3.0, None, 1.0),
+        (rect_grid(1.0, 0.8, 16), 1.5, np.random.default_rng(3).uniform(0, 5, 208), 0.7),
+        (ball_grid(12), 1.0, None, 1.0),
+    ],
+    ids=["interval-3", "interval+1", "interval+5", "disk-48-3", "rect-V", "ball-12"],
+)
+def test_levels_are_difference_form_energies(grid, gamma, V, m):
+    # one rule for a level: <p^2>/2m + <V> of its own vector, as moments
+    # measures it, not the eigenvalue a solver returns (eps ||A|| off)
+    w, v = solve_lowest(build_hamiltonian(grid, gamma, m, V), 5)
+    V = np.zeros(grid.n_cells) if V is None else V
+    energies = [moments(grid, gamma, x).mean_p2 / (2 * m) + np.sum(V * x * x) / np.sum(x * x) for x in v.T]
+    assert np.max(np.abs(w - energies)) <= 1e-15 * np.max(np.abs(w))
+
+
 def test_monotone_in_gamma_no_tolerance():
     gammas = np.tan(np.linspace(math.atan(-20.0), math.atan(20.0), 20))
     for grid in (disk_grid(0.5, 32), rect_grid(1.0, 0.75, 16)):
@@ -243,7 +264,13 @@ def test_spectral_flow_identity_interval():
         flows = spectral_flow_check(ham, w, v, h_gamma=1e-3)
         for level in range(4):
             lhs, rhs = flows[level]
-            assert abs(lhs - rhs) / abs(lhs) <= 1e-4
+            assert abs(lhs - rhs) / abs(lhs) <= 1e-7
+    # the default step on a finer grid: eigenvalue differences are 2.7e-4 off
+    grid = interval_grid(1.0, 3000)
+    ham = build_hamiltonian(grid, 5.0, 1.0)
+    w, v = solve_lowest(ham, 6)
+    lhs, rhs = spectral_flow_check(ham, w, v)[0]
+    assert abs(lhs - rhs) <= 1e-8 * rhs
 
 
 def test_spectral_flow_degenerate_level_rejected():
