@@ -6,7 +6,8 @@ Subcommands:
   201 samples uniform in arctan(gamma L / 2) with energies scaled by
   2 m L^2 / pi^2 (so the Dirichlet endpoint reads 1, 4, 9, 16, 25).
 * dot: finite-difference eigenvalues, uncertainty slacks, and spectral-flow
-  checks for a gridded region (built-in shape or mask file).
+  checks for a gridded region (built-in shape or mask file); a level prints
+  no flow where ``qdot_fd.spectral_flow_check`` returns None.
 * scatter: half-line reflection phase shift over a wavenumber grid.
 * wall: thin-square-well approximations of a Robin wall over a width list.
 * hetero: junction-matrix validation verdict with identity residuals.
@@ -213,10 +214,7 @@ def cmd_dot(params: dict):
         raise InvalidArgumentError(f"count must be in [1, {grid.n_cells}], got {count}")
     # one level more than printed, so the flow check sees the top level's gap
     energies, vectors = qdot_fd.solve_lowest(ham, min(count + 1, grid.n_cells))
-    if math.isfinite(gamma):
-        flows = qdot_fd.spectral_flow_check(ham, energies, vectors)
-    else:
-        flows = [None] * len(energies)
+    flows = qdot_fd.spectral_flow_check(ham, energies, vectors)
 
     rows = []
     for n in range(count):
@@ -227,14 +225,8 @@ def cmd_dot(params: dict):
 
     header = ["n", "energy", "slack_general", "slack_nonhermitean", "flow_lhs", "flow_rhs"]
     levels = [
-        {
-            "n": n,
-            "energy": energy,
-            "slack_general": general,
-            "slack_nonhermitean": nonhermitean,
-            "flow": None if lhs is None else {"lhs": lhs, "rhs": rhs},
-        }
-        for n, energy, general, nonhermitean, lhs, rhs in rows
+        {**dict(zip(header, row)), "flow": None if lhs is None else {"lhs": lhs, "rhs": rhs}}
+        for *row, lhs, rhs in rows
     ]
     doc = {
         **described,

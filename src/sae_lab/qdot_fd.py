@@ -686,39 +686,47 @@ def uncertainty_general(mom: Moments) -> UncertaintyReport:
     )
 
 
-def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray, h_gamma: float = 1e-5):
+_FLOW_STEP = 1e-5  # delta, the gamma step of the flow check
+
+
+def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     """Compare dE/dgamma of every solved level against the boundary-density formula.
 
-    ``w, v = solve_lowest(ham, count)`` for a finite uniform gamma.  Returns
-    one (lhs, rhs) per level: lhs the centered difference of the level
-    under gamma -> gamma +- h_gamma, rhs = sum_f h^(d-1) rho_f / 2m from
-    the vectors in hand (Hellmann-Feynman).  In d = 1 each side is one
-    ``solve_lowest``.  In d >= 2 each connected part's vectors at gamma +-
-    h_gamma come from block LOBPCG started at the part's solved vectors and
-    preconditioned by the LU factor that solved them, so nothing is
-    refactored.  On both routes a level at gamma +- h_gamma is its vector's
-    difference-form energy, as in ``solve_lowest``, and every such pair
-    passes its residual check.  A level closer to a solved neighbor than
-    that check's bound is degenerate, its derivative undefined: it gets
-    None.  The top level has no solved neighbor above, so solve one level
-    more than needed, unless ``count`` is the whole spectrum.
+    ``w, v = solve_lowest(ham, count)`` for a uniform gamma.  Returns per
+    level (lhs, rhs) or None: lhs the centered difference of its
+    residual-checked difference-form energy at gamma +- delta (in d = 1 from
+    ``solve_lowest``, in d >= 2 from ``_nearby_levels``), rhs = sum_f
+    h^(d-1) rho_f / 2m from ``v`` (Hellmann-Feynman).
+
+    This alone decides which levels get None: every level at a +-inf wall,
+    whose face term is fixed at 2/h (nothing is solved); a level within the
+    residual bound of a solved neighbor (degenerate); the top level unless
+    ``w`` is the whole spectrum (its neighbor above is unknown); and a level
+    the step cannot resolve.  A level rounds to about r = eps (|link|/(2 m
+    h^2) + |face|/(2 m h) + |V|)/norm, its ``_checked_levels`` terms in
+    magnitude, so lhs is off by up to 2r/(2 delta) from its true 2 delta
+    rhs/(2 delta); printing it only where 2 delta rhs >= 2^21 r bounds that
+    error by 2 rhs/2^21 < 1e-6 rhs.  A per-face gamma raises.
     """
-    gamma, grid, m = ham.gamma, ham.grid, ham.m
-    if np.ndim(gamma) or not math.isfinite(gamma):
-        raise InvalidArgumentError("spectral flow needs a finite uniform gamma")
-    if not (math.isfinite(h_gamma) and h_gamma > 0):
-        raise InvalidArgumentError(f"step must be positive and finite, got {h_gamma}")
-    nearby = (build_hamiltonian(grid, g, m, ham.V) for g in (gamma + h_gamma, gamma - h_gamma))
+    gamma, grid, m, h = ham.gamma, ham.grid, ham.m, ham.grid.h
+    if np.ndim(gamma):
+        raise InvalidArgumentError("spectral flow needs a uniform gamma")
+    if math.isinf(gamma):
+        return [None] * len(w)
+    link, face, potential, norm = _form_sums(grid, np.full(grid.n_faces, abs(gamma)), np.abs(ham.V), v)
+    rounding = np.finfo(float).eps * (link / (2.0 * (m * h * h)) + face / (2.0 * (m * h)) + potential) / norm
+    rhs = h ** (grid.d - 1) * np.sum(v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
+    gap = np.abs(np.diff(w))
+    nearest = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
+    keep = (nearest >= _residual_bound(w)) & (2.0 * _FLOW_STEP * rhs >= 2.0**21 * rounding)
+    keep[-1] &= len(w) == grid.n_cells
+    nearby = (build_hamiltonian(grid, g, m, ham.V) for g in (gamma + _FLOW_STEP, gamma - _FLOW_STEP))
     if grid.d == 1:
         w_up, w_down = (solve_lowest(near, len(w))[0] for near in nearby)
     else:
         w_up, w_down = (_nearby_levels(ham, near, v) for near in nearby)
-    lhs = (w_up - w_down) / (2.0 * h_gamma)
-    rhs = grid.h ** (grid.d - 1) * np.sum(v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
-    gap = np.abs(np.diff(w))
-    nearest = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
-    degenerate = nearest < _residual_bound(w)
-    return [None if d else (float(a), float(b)) for d, a, b in zip(degenerate, lhs, rhs)]
+    lhs = (w_up - w_down) / (2.0 * _FLOW_STEP)
+    return [(float(a), float(b)) if k else None for k, a, b in zip(keep, lhs, rhs)]
 
 
 def _nearby_levels(ham: DiscreteHamiltonian, near: DiscreteHamiltonian, v: np.ndarray) -> np.ndarray:

@@ -127,7 +127,7 @@ def test_04_spectral_flow_two_routes():
     for gamma in (-1.0, 0.5, 3.0):
         ham = build_hamiltonian(grid, gamma, 1.0)
         w, v = solve_lowest(ham, 5)
-        for lhs, rhs in spectral_flow_check(ham, w, v, h_gamma=1e-3)[:4]:
+        for lhs, rhs in spectral_flow_check(ham, w, v)[:4]:
             worst_fd = max(worst_fd, abs(lhs - rhs) / abs(rhs))
     assert worst_fd <= 1e-4
     _passed("criterion-04", f"closed-form rel {worst:.2e}, grid rel {worst_fd:.2e}")

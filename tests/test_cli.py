@@ -572,6 +572,23 @@ def test_masses_up_to_the_largest_double(capsys):
     e0, e1 = (float(row[1]) for row in parse_csv(out)[1])
     assert abs(e1 - t) <= 4 * math.ulp(t)
     assert abs(e0) <= 4 * math.ulp(t)
+    # the gamma step moves level 0 by less than its rounding: no flow
+    assert parse_csv(out)[1][0][4:] == ["", ""]
+
+
+@pytest.mark.parametrize("gamma, count", [("1e8", 2), ("1e10", 8), ("1e12", 8)])
+def test_stiff_walls_print_no_flow_below_rounding(gamma, count, capsys):
+    # the gamma step moves every level of this wall by less than its
+    # rounding; a printed difference would be 0 or of the wrong sign
+    rc, out, _ = run_cli(
+        ["dot", "--shape", "interval", "--resolution", "8", f"--gamma={gamma}", f"--count={count}", "--format", "csv"],
+        capsys,
+    )
+    assert rc == 0
+    flows = [row[4:] for row in parse_csv(out)[1]]
+    assert all(float(lhs) > 0 for lhs, _ in flows if lhs)
+    if gamma == "1e8":
+        assert flows == [["", ""], ["", ""]]
 
 
 _WIDE = st.one_of(

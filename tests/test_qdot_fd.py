@@ -261,7 +261,7 @@ def test_spectral_flow_identity_interval():
     for gamma in (-1.0, 0.5, 3.0):
         ham = build_hamiltonian(grid, gamma, 1.0)
         w, v = solve_lowest(ham, 5)
-        flows = spectral_flow_check(ham, w, v, h_gamma=1e-3)
+        flows = spectral_flow_check(ham, w, v)
         for level in range(4):
             lhs, rhs = flows[level]
             assert abs(lhs - rhs) / abs(lhs) <= 1e-7
@@ -281,8 +281,11 @@ def test_spectral_flow_degenerate_level_rejected():
     flows = spectral_flow_check(ham, w, v)
     assert flows[0] is not None
     assert flows[1] is None and flows[2] is None
-    with pytest.raises(InvalidArgumentError):
-        spectral_flow_check(build_hamiltonian(grid, math.inf, 1.0), w, v)
+    # a Dirichlet wall has no wall parameter to vary; a per-face wall is not checked
+    dirichlet = build_hamiltonian(grid, math.inf, 1.0)
+    assert spectral_flow_check(dirichlet, *solve_lowest(dirichlet, 4)) == [None] * 4
+    with pytest.raises(InvalidArgumentError, match="uniform gamma"):
+        spectral_flow_check(build_hamiltonian(grid, np.zeros(grid.n_faces), 1.0), w, v)
 
 
 def blocks_grid():
@@ -311,10 +314,11 @@ def blocks_grid():
 )
 def test_spectral_flow_matches_full_re_solves(grid, gamma):
     # the reference: a full solve of the Hamiltonian at each of gamma +- step
-    count, step = 6, 1e-5
+    count, step = 6, qdot_fd._FLOW_STEP
     ham = build_hamiltonian(grid, gamma, 1.0)
     w, v = solve_lowest(ham, count)
-    flows = spectral_flow_check(ham, w, v, h_gamma=step)
+    flows = spectral_flow_check(ham, w, v)
+    assert flows[-1] is None  # the top of a partial spectrum has no neighbor above
     up, down = (solve_lowest(build_hamiltonian(grid, g, 1.0), count)[0] for g in (gamma + step, gamma - step))
     checked = 0
     for flow, ref in zip(flows, (up - down) / (2 * step)):
@@ -323,17 +327,8 @@ def test_spectral_flow_matches_full_re_solves(grid, gamma):
             checked += 1
     assert checked >= 1
     # bit-identical on the shared factor and on a fresh one
-    assert spectral_flow_check(ham, w, v, h_gamma=step) == flows
-    assert spectral_flow_check(build_hamiltonian(grid, gamma, 1.0), w, v, h_gamma=step) == flows
-
-
-@pytest.mark.parametrize("step", [math.inf, math.nan, -1.0])
-def test_spectral_flow_rejects_bad_steps(step):
-    grid = disk_grid(0.5, 24)
-    ham = build_hamiltonian(grid, 1.0, 1.0)
-    w, v = solve_lowest(ham, 4)
-    with pytest.raises(InvalidArgumentError, match="step must be positive and finite"):
-        spectral_flow_check(ham, w, v, h_gamma=step)
+    assert spectral_flow_check(ham, w, v) == flows
+    assert spectral_flow_check(build_hamiltonian(grid, gamma, 1.0), w, v) == flows
 
 
 def test_spectral_flow_checks_every_nearby_pair(monkeypatch):
