@@ -4,10 +4,10 @@ A dot is a set of cells on a uniform grid of spacing h (a rasterized shape:
 interval, rectangle, disk, annulus, or anything read from a mask file).  The
 kinetic term couples face-adjacent cells; every boundary face (a cell face
 with no inside neighbor) carries a Robin parameter gamma_f, entering the
-Hamiltonian as +gamma_f/(2 m h) on the diagonal of its cell.  ``gamma`` is
-one number for every face or an array of one per face; +-inf is the Dirichlet
-wall, the exact discrete limit gamma_f = 2/h, which eliminates a ghost cell
-forced to -psi of its mirror.
+Hamiltonian as +g_f/(2 m h) on the diagonal of its cell, g_f and dg_f/dgamma
+defined in one place, ``_face_term``.  ``gamma`` is one number for every face
+or one per face; g_f = gamma_f, except at the Dirichlet wall +-inf: the exact
+discrete limit 2/h, which eliminates a ghost cell forced to -psi of its mirror.
 
 Discrete conventions, chosen so the continuum boundary identities hold
 exactly in the discrete model (not merely up to O(h)):
@@ -120,9 +120,7 @@ class DomainGrid:
 
     def face_centers(self) -> np.ndarray:
         """(F, d) coordinates of the boundary face midpoints."""
-        cells = self.boundary_faces[:, 0]
-        axes = self.boundary_faces[:, 1]
-        orients = self.boundary_faces[:, 2]
+        cells, axes, orients = self.boundary_faces.T
         centers = self.cell_centers[cells].copy()
         centers[np.arange(self.n_faces), axes] += 0.5 * self.h * orients
         return centers
@@ -158,9 +156,10 @@ class DiscreteHamiltonian:
 
     Immutable after assembly.  The ingredients (``gamma`` as passed in, a
     number or one per face) let the spectral-flow check assemble the
-    Hamiltonian at gamma +- step.  In d >= 2 the connected parts, each with
-    its shifted LU factor, are built on first use and shared by every solve
-    on this Hamiltonian, so the flow check refactors nothing.
+    Hamiltonian at gamma +- step; its wall ``_faces`` is resolved once.  In
+    d >= 2 the connected parts, each with its shifted LU factor, are built
+    on first use and shared by every solve on this Hamiltonian, so the flow
+    check refactors nothing.
     """
 
     matrix: sp.csr_matrix
@@ -168,6 +167,11 @@ class DiscreteHamiltonian:
     V: np.ndarray
     grid: DomainGrid
     gamma: float | np.ndarray
+
+    @functools.cached_property
+    def _faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_face_term`` of this Hamiltonian's gamma: each face's g and dg/dgamma."""
+        return _face_term(self.grid, self.gamma)
 
     @functools.cached_property
     def _parts(self) -> list[_Part]:
@@ -353,12 +357,12 @@ def read_robin_field(path, grid: DomainGrid) -> np.ndarray:
 # assembly and eigensolution
 
 
-def _face_gammas(grid: DomainGrid, gamma) -> np.ndarray:
-    """One finite gamma per boundary face; +-inf becomes the exact 2/h.
+def _face_term(grid: DomainGrid, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Per boundary face, the wall g of its diagonal entry g/(2 m h) and dg/dgamma.
 
-    A finite gamma with |gamma| h >= 2^52 is rejected: its face term
-    outweighs the kinetic term 1/(2 m h^2) by more than double precision
-    resolves, and the wall it stands for is the Dirichlet wall, gamma = inf.
+    The one place gamma enters the dot: g = gamma, dg = 1 on a finite face,
+    g = 2/h, dg = 0 on a +-inf face.  A finite |gamma| h >= 2^52 is rejected:
+    its face term outweighs 1/(2 m h^2) beyond double precision; its wall is gamma = inf.
     """
     vals = np.array(gamma, dtype=float)
     if np.isnan(vals).any():
@@ -375,7 +379,7 @@ def _face_gammas(grid: DomainGrid, gamma) -> np.ndarray:
             "for the Dirichlet wall use gamma = inf (--gamma inf)"
         )
     vals[wall] = 2.0 / grid.h
-    return vals
+    return vals, np.where(wall, 0.0, 1.0)
 
 
 def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHamiltonian:
@@ -385,7 +389,7 @@ def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHami
     the Dirichlet wall.  ``V`` is None (no potential) or one value per cell
     (grid cell order), e.g. ``V(grid.cell_centers)`` for a function V.
     """
-    gammas = _face_gammas(grid, gamma)
+    faces = _face_term(grid, gamma)
     if not (math.isfinite(m) and m > 0):
         raise InvalidArgumentError(f"mass must be positive and finite, got {m}")
     n = grid.n_cells
@@ -400,7 +404,7 @@ def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHami
     # norms), so its square must stay a double
     kinetic = 2.0 * (m * h * h)
     t = 1.0 / kinetic if kinetic > 0 else math.inf
-    face = float(np.abs(gammas).max(initial=0.0)) * h * t
+    face = float(np.abs(faces[0]).max(initial=0.0)) * h * t
     reach = float(np.abs(V_arr).max()) + 2 * grid.d * max(2.0 * t, face)
     if not math.isfinite(reach * reach):
         raise InvalidArgumentError(f"mass {m} and spacing {h} give a Hamiltonian beyond the double range")
@@ -409,13 +413,15 @@ def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHami
     j = grid.links[:, 1]
     np.add.at(diag, i, t)
     np.add.at(diag, j, t)
-    np.add.at(diag, grid.boundary_faces[:, 0], gammas / (2.0 * (m * h)))
+    np.add.at(diag, grid.boundary_faces[:, 0], faces[0] / (2.0 * (m * h)))
 
     rows = np.concatenate([np.arange(n), i, j])
     cols = np.concatenate([np.arange(n), j, i])
     vals = np.concatenate([diag, np.full(len(i), -t), np.full(len(j), -t)])
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return DiscreteHamiltonian(matrix, float(m), V_arr, grid, gamma)
+    ham = DiscreteHamiltonian(matrix, float(m), V_arr, grid, gamma)
+    ham.__dict__["_faces"] = faces  # fills the cached property: gamma is resolved once
+    return ham
 
 
 def _lowest_pairs(part: _Part, count: int):
@@ -532,15 +538,18 @@ def _form_sums(grid: DomainGrid, gammas: np.ndarray, V, x: np.ndarray) -> np.nda
     return sums
 
 
-def _checked_levels(ham: DiscreteHamiltonian, x: np.ndarray, where: str = "") -> np.ndarray:
-    """E_k = (link/(2 m h^2) + face/(2 m h) + potential)/norm of each column x_k, from ``_form_sums``.
+def _form_levels(grid: DomainGrid, m: float, gammas: np.ndarray, V, x: np.ndarray) -> np.ndarray:
+    """(link/(2 m h^2) + face/(2 m h) + potential)/norm of each column of x, from ``_form_sums``."""
+    link, face, potential, norm = _form_sums(grid, gammas, V, x)
+    return (link / (2.0 * (m * grid.h * grid.h)) + face / (2.0 * (m * grid.h)) + potential) / norm
 
-    That is mean_p2/2m + <V> of ``moments``.  Raises SolverFailureError
-    unless every ||A x_k - E_k x_k|| is within ``_residual_bound``.
+
+def _checked_levels(ham: DiscreteHamiltonian, x: np.ndarray, where: str = "") -> np.ndarray:
+    """E_k = ``_form_levels`` of column x_k on the Hamiltonian's wall: mean_p2/2m + <V> of ``moments``.
+
+    Raises SolverFailureError unless every ||A x_k - E_k x_k|| is within ``_residual_bound``.
     """
-    grid, m, h = ham.grid, ham.m, ham.grid.h
-    link, face, potential, norm = _form_sums(grid, _face_gammas(grid, ham.gamma), ham.V, x)
-    w = (link / (2.0 * (m * h * h)) + face / (2.0 * (m * h)) + potential) / norm
+    w = _form_levels(ham.grid, ham.m, ham._faces[0], ham.V, x)
     resid = np.linalg.norm(ham.matrix @ x - x * w, axis=0)
     for kcol, (r, tol) in enumerate(zip(resid, _residual_bound(w))):
         if not r <= tol:
@@ -627,7 +636,7 @@ def moments(grid: DomainGrid, gamma, psi: np.ndarray) -> Moments:
         raise InvalidArgumentError(f"state must have one value per cell ({grid.n_cells})")
     h = grid.h
     hd = h**grid.d
-    link, face, _, norm = _form_sums(grid, _face_gammas(grid, gamma), 0.0, psi[:, np.newaxis])[:, 0]
+    link, face, _, norm = _form_sums(grid, _face_term(grid, gamma)[0], 0.0, psi[:, np.newaxis])[:, 0]
     norm2 = hd * norm
     if norm2 <= 0 or not math.isfinite(norm2):
         raise InvalidArgumentError("state has zero or non-finite norm")
@@ -696,31 +705,31 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     level (lhs, rhs) or None: lhs the centered difference of its
     residual-checked difference-form energy at gamma +- delta (in d = 1 from
     ``solve_lowest``, in d >= 2 from ``_nearby_levels``), rhs = sum_f
-    h^(d-1) rho_f / 2m from ``v`` (Hellmann-Feynman).
+    h^(d-1) dg_f rho_f / 2m from ``v`` (Hellmann-Feynman, dg from ``_face_term``).
 
-    This alone decides which levels get None: every level at a +-inf wall,
-    whose face term is fixed at 2/h (nothing is solved); a level within the
-    residual bound of a solved neighbor (degenerate); the top level unless
-    ``w`` is the whole spectrum (its neighbor above is unknown); and a level
-    the step cannot resolve.  A level rounds to about r = eps (|link|/(2 m
-    h^2) + |face|/(2 m h) + |V|)/norm, its ``_checked_levels`` terms in
-    magnitude, so lhs is off by up to 2r/(2 delta) from its true 2 delta
-    rhs/(2 delta); printing it only where 2 delta rhs >= 2^21 r bounds that
-    error by 2 rhs/2^21 < 1e-6 rhs.  A per-face gamma raises.
+    This alone decides which levels get None: a level within the residual
+    bound of a solved neighbor (degenerate); the top level unless ``w`` is
+    the whole spectrum (its neighbor above is unknown); and a level the step
+    cannot resolve.  A level rounds to about r = eps (|link|/(2 m h^2) +
+    |face|/(2 m h) + |V|)/norm, its ``_form_levels`` in magnitude, so lhs is
+    off by up to 2r/(2 delta) from its true 2 delta rhs/(2 delta); printing
+    it only where 2 delta rhs >= 2^21 r bounds that error by 2 rhs/2^21 <
+    1e-6 rhs.  A +-inf wall (dg = 0) keeps no level; with none kept, nothing
+    is solved.  A per-face gamma raises.
     """
     gamma, grid, m, h = ham.gamma, ham.grid, ham.m, ham.grid.h
     if np.ndim(gamma):
         raise InvalidArgumentError("spectral flow needs a uniform gamma")
-    if math.isinf(gamma):
-        return [None] * len(w)
-    link, face, potential, norm = _form_sums(grid, np.full(grid.n_faces, abs(gamma)), np.abs(ham.V), v)
-    rounding = np.finfo(float).eps * (link / (2.0 * (m * h * h)) + face / (2.0 * (m * h)) + potential) / norm
-    rhs = h ** (grid.d - 1) * np.sum(v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
+    g, dg = ham._faces
+    rounding = np.finfo(float).eps * _form_levels(grid, m, np.abs(g), np.abs(ham.V), v)
+    rhs = h ** (grid.d - 1) * np.sum(dg[:, np.newaxis] * v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
     gap = np.abs(np.diff(w))
     nearest = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
     keep = (nearest >= _residual_bound(w)) & (2.0 * _FLOW_STEP * rhs >= 2.0**21 * rounding)
     keep[-1] &= len(w) == grid.n_cells
-    nearby = (build_hamiltonian(grid, g, m, ham.V) for g in (gamma + _FLOW_STEP, gamma - _FLOW_STEP))
+    if not keep.any():
+        return [None] * len(w)
+    nearby = (build_hamiltonian(grid, gamma + step, m, ham.V) for step in (_FLOW_STEP, -_FLOW_STEP))
     if grid.d == 1:
         w_up, w_down = (solve_lowest(near, len(w))[0] for near in nearby)
     else:

@@ -3,9 +3,11 @@
 The independent oracle for assembly + eigensolution is the exact discrete
 Dirichlet eigensystem: on n cells with the half-link wall elimination the
 eigenvectors are sin(k (i+1/2) h) with k = (q+1) pi / L and eigenvalues
-(2 - 2 cos(k h)) / (2 m h^2), exactly, for every h.  Rectangles follow by
-separability.  Everything else cross-checks against the analytic interval
-solver or asserts identities that hold exactly in the discrete model.
+(2 - 2 cos(k h)) / (2 m h^2), exactly, for every h.  A finite wall
+0 <= gamma h < 2 on the interval has an exact discrete closed form too, a
+phase equation per level.  Rectangles follow by separability.  Everything
+else cross-checks against the analytic interval solver or asserts
+identities that hold exactly in the discrete model.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.optimize import brentq
 
 from sae_lab import qdot_fd
 from sae_lab.box1d import BoxSpec, solve_spectrum
@@ -25,7 +28,7 @@ from sae_lab.errors import (
 )
 from sae_lab.qdot_fd import (
     DomainGrid,
-    _face_gammas,
+    _face_term,
     _gradient,
     Moments,
     annulus_grid,
@@ -49,6 +52,27 @@ def discrete_dirichlet_levels(n, L, m, count):
     q = np.arange(count)
     k = (q + 1) * math.pi / L
     return (2.0 - 2.0 * np.cos(k * h)) / (2.0 * m * h * h)
+
+
+def discrete_robin_levels(n, L, m, gamma, count):
+    """Exact levels of the n-cell interval whose walls add gamma/(2 m h), 0 <= gamma h < 2.
+
+    Level k is 4 t sin^2(theta/2), t = 1/(2 m h^2), with theta the root in
+    [k pi/n, (k+1) pi/n] of n theta = k pi + 2 atan(q cot(theta/2)).
+    """
+    h = L / n
+    q = gamma * h / (2.0 - gamma * h)  # the face term's ghost cell, psi_g = (1 - gamma h) psi_c
+    eps = np.finfo(float).eps
+
+    def phase(theta, k):
+        return n * theta - k * math.pi - 2.0 * math.atan2(q * math.cos(theta / 2.0), math.sin(theta / 2.0))
+
+    theta = [
+        k * math.pi / n if q == 0
+        else brentq(phase, k * math.pi / n, (k + 1) * math.pi / n, args=(k,), xtol=1e-300, rtol=4 * eps)
+        for k in range(count)
+    ]
+    return 4.0 / (2.0 * m * h * h) * np.sin(np.array(theta) / 2.0) ** 2
 
 
 def ball_grid(n):
@@ -77,6 +101,18 @@ def test_dirichlet_interval_matches_discrete_closed_form():
     model = np.sin(math.pi * (x + L / 2.0))
     model /= np.sqrt(h * np.sum(model**2))
     assert np.allclose(np.abs(v[:, 0]), np.abs(model), atol=1e-8)
+
+    # a finite wall: every level to 16 ulp; the Neumann ground level is 0
+    # exactly, and is bounded by 16 ulp of the level above it
+    tol = 16 * np.finfo(float).eps
+    for n in (8, 128, 2000):
+        for gamma in (0.0, 1.0, 10.0):
+            w, _ = solve_lowest(build_hamiltonian(interval_grid(L, n), gamma, m), 4)
+            want = discrete_robin_levels(n, L, m, gamma, 4)
+            if gamma == 0:
+                assert want[0] == 0 and abs(w[0]) <= tol * want[1]
+                w, want = w[1:], want[1:]
+            assert np.all(np.abs(w - want) <= tol * want), (n, gamma, w, want)
 
 
 def test_dirichlet_rectangle_is_separable_sum():
@@ -166,13 +202,19 @@ def test_scalar_gamma_is_its_per_face_array():
             one, each = (moments(grid, g, psi) for g in (gamma, np.full(grid.n_faces, gamma)))
             for field in dataclasses.fields(Moments):
                 assert np.array_equal(getattr(one, field.name), getattr(each, field.name))
+            one, each = (_face_term(grid, g) for g in (gamma, np.full(grid.n_faces, gamma)))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(one, each))
+            assert np.all(one[1] == (0.0 if math.isinf(gamma) else 1.0))
 
         face = grid.n_faces - 1
         wall = np.zeros(grid.n_faces)
         wall[face] = math.inf
         want = np.zeros(grid.n_faces)
         want[face] = 2.0 / grid.h
-        assert np.array_equal(_face_gammas(grid, wall), want)
+        g, dg = _face_term(grid, wall)
+        assert np.array_equal(g, want)
+        # dg/dgamma is 1 on every finite face and 0 on the wall
+        assert dg[face] == 0.0 and np.all(np.delete(dg, face) == 1.0)
         lift = build_hamiltonian(grid, wall, 0.7).matrix.diagonal() - build_hamiltonian(grid, 0.0, 0.7).matrix.diagonal()
         cell = grid.boundary_faces[face, 0]
         assert lift[cell] == pytest.approx(2.0 / grid.h / (2.0 * 0.7 * grid.h), rel=1e-14)
@@ -288,6 +330,22 @@ def test_spectral_flow_degenerate_level_rejected():
         spectral_flow_check(build_hamiltonian(grid, np.zeros(grid.n_faces), 1.0), w, v)
 
 
+@pytest.mark.parametrize(
+    "grid, gamma",
+    [(disk_grid(1.0, 32), 1e5), (interval_grid(1.0, 8), 1e10), (disk_grid(1.0, 32), math.inf)],
+    ids=["disk-32-stiff", "interval-8-stiff", "disk-32-dirichlet"],
+)
+def test_spectral_flow_solves_nothing_when_no_level_is_kept(monkeypatch, grid, gamma):
+    # the step resolves no level of a stiff wall, and a +-inf wall has
+    # dg = 0: no Hamiltonian at gamma +- delta is built
+    ham = build_hamiltonian(grid, gamma, 1.0)
+    w, v = solve_lowest(ham, 6)
+    built, real = [], qdot_fd.build_hamiltonian
+    monkeypatch.setattr(qdot_fd, "build_hamiltonian", lambda *args: built.append(args) or real(*args))
+    assert spectral_flow_check(ham, w, v) == [None] * 6
+    assert built == []
+
+
 def blocks_grid():
     """Four disconnected rectangles of different sizes, one of 2 x 2 cells."""
     mask = np.zeros((40, 12), dtype=bool)
@@ -354,7 +412,7 @@ def test_gaussian_packet_saturation_first_order():
         field, rep = minimal_packet_gamma(grid, 8.0, [0.0])
         assert rep.slack_general >= 0.0
         slacks.append(rep.slack_general)
-        vals = _face_gammas(grid, field)
+        vals = _face_term(grid, field)[0]
         # matched field on the two end faces is alpha*L/2 on both
         assert vals == pytest.approx([4.0, 4.0], abs=1e-12)
     assert slacks[0] <= 2e-3
@@ -376,7 +434,7 @@ def test_interior_packet_slack_vanishes_quadratically():
 def test_degenerate_packet_recovers_neumann():
     grid = disk_grid(0.5, 24)
     field, _ = minimal_packet_gamma(grid, 1e-12, [0.0, 0.0])
-    assert np.max(np.abs(_face_gammas(grid, field))) <= 1e-10
+    assert np.max(np.abs(_face_term(grid, field)[0])) <= 1e-10
 
 
 def test_cross_module_slack_agreement():
@@ -483,7 +541,7 @@ def test_robin_field_file(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("face,gamma\n0,2.5\n1,inf\n")
     field = read_robin_field(path, grid)
-    vals = _face_gammas(grid, field)
+    vals = _face_term(grid, field)[0]
     assert vals[0] == 2.5
     assert vals[1] == 2.0 / grid.h  # Dirichlet face becomes the exact 2/h
     path.write_text("0,1.0\n5,2.0\n")
