@@ -181,6 +181,8 @@ def _dot_grid(params: dict):
         n = params["resolution"]
         length = params["length"]
         second = params.get("length2")
+        if second is not None and shape in ("interval", "disk"):
+            raise InvalidArgumentError("--length2 applies to rect and annulus only")
         if shape == "interval":
             return qdot_fd.interval_grid(length, n), {"shape": "interval", "length": length}
         if shape == "rect":

@@ -16,8 +16,7 @@ bilinear combinations
     conj(g12) g22 - conj(g22) g12 = 0
 
 all hold; validate_interface checks exactly these and reports the worst
-violator on rejection.  The module also solves 1-d plane-wave scattering
-across a single junction between regions of constant potential.
+violator on rejection.
 """
 
 from __future__ import annotations
@@ -33,17 +32,13 @@ from .errors import GridIOError, InvalidArgumentError, NotSelfAdjointError
 
 __all__ = [
     "InterfaceMatrix",
-    "RegionParams",
     "InterfaceState",
-    "ScatterSolution",
     "bilinear_residuals",
     "validate_interface",
     "match_across",
     "normal_current",
     "current_mismatch",
-    "scatter_interface",
     "parse_interface_file",
-    "load_interface",
 ]
 
 _ATOL = 1e-12
@@ -69,20 +64,6 @@ class InterfaceMatrix:
 
 
 @dataclass(frozen=True)
-class RegionParams:
-    """One side of a junction: effective mass and constant potential."""
-
-    mass: float
-    V: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise InvalidArgumentError(f"mass must be positive and finite, got {self.mass}")
-        if not math.isfinite(self.V):
-            raise InvalidArgumentError(f"potential must be finite, got {self.V}")
-
-
-@dataclass(frozen=True)
 class InterfaceState:
     """Wavefunction data at one side of the junction: (value, flux).
 
@@ -99,24 +80,6 @@ class InterfaceState:
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise InvalidArgumentError(f"{name} must be finite, got {z}")
             object.__setattr__(self, name, z)
-
-
-@dataclass(frozen=True)
-class ScatterSolution:
-    """Plane-wave scattering amplitudes and probabilities at one energy.
-
-    ``R`` and ``T`` are the reflected and transmitted amplitudes;
-    ``reflection`` = |R|^2 and ``transmission`` the flux-weighted |T|^2, so
-    the two sum to 1.  ``k_left`` is real; ``k_right`` may be positive
-    imaginary (evanescent right side, total reflection).
-    """
-
-    R: complex
-    T: complex
-    reflection: float
-    transmission: float
-    k_left: float
-    k_right: complex
 
 
 _IDENTITIES = (
@@ -216,55 +179,6 @@ def current_mismatch(state_left: InterfaceState, state_right: InterfaceState) ->
     return abs(normal_current(state_left) - normal_current(state_right))
 
 
-def scatter_interface(
-    E: float,
-    left: RegionParams,
-    right: RegionParams,
-    gamma_matrix: InterfaceMatrix,
-) -> ScatterSolution:
-    """Scatter a unit plane wave incident from the left off the junction.
-
-    The left region must be propagating (E > V_left).  A non-propagating
-    right side gives an evanescent transmitted tail: transmission 0 and
-    |R| = 1 (total reflection).  For every validated matrix the result
-    conserves flux: reflection + transmission = 1.
-
-    Example:
-        >>> sol = scatter_interface(2.0, RegionParams(1.0), RegionParams(1.0),
-        ...                         validate_interface([[1, 0], [0, 1]]))
-        >>> bool(abs(sol.T - 1.0) < 1e-12 and abs(sol.R) < 1e-12)
-        True
-    """
-    if not math.isfinite(E):
-        raise InvalidArgumentError(f"energy must be finite, got {E}")
-    if E <= left.V:
-        raise InvalidArgumentError(
-            f"incident channel does not propagate: E = {E} <= V_left = {left.V}"
-        )
-    k_left = math.sqrt(2.0 * (left.mass * (E - left.V)))
-    k_right = cmath.sqrt(complex(2.0 * (right.mass * (E - right.V))))
-
-    g = gamma_matrix.entries
-    # value and flux of the transmitted wave T exp(i k_right x) at x = 0,
-    # divided by T: (1, i k_right / 2 m_right)
-    P = g[0, 0] + g[0, 1] * 1j * k_right / right.mass / 2.0
-    Q = g[1, 0] + g[1, 1] * 1j * k_right / right.mass / 2.0
-    # incident+reflected side: value 1 + R, flux i k_left (1 - R) / 2 m_left
-    Q_tilde = Q * left.mass / (1j * k_left) * 2.0
-    T = 2.0 / (P + Q_tilde)
-    R = T * P - 1.0
-
-    transmission = (k_right.real * left.mass) / (k_left * right.mass) * abs(T) ** 2
-    return ScatterSolution(
-        R=R,
-        T=T,
-        reflection=abs(R) ** 2,
-        transmission=transmission,
-        k_left=k_left,
-        k_right=k_right,
-    )
-
-
 def _as_float(value) -> float:
     """float(value), reading an integer beyond the double range as +-inf,
     as JSON reads 1e400."""
@@ -277,9 +191,12 @@ def _as_float(value) -> float:
 def parse_interface_file(path) -> np.ndarray:
     """Read a junction matrix file without validating it.
 
-    Returns the raw 2x2 complex entries with any stored phase applied, so a
-    caller can report how far an unacceptable matrix is from conserving
-    probability; load_interface is the validating entry point.
+    Format: {"entries": [[re, im], [re, im], [re, im], [re, im]]} listing
+    the entries row-major (11, 12, 21, 22), plus an optional "theta" that
+    multiplies all entries by exp(i theta) (store the real factor and its
+    phase separately).  Returns the raw 2x2 complex entries with any stored
+    phase applied, so a caller can report how far an unacceptable matrix is
+    from conserving probability.
     """
     try:
         with open(path) as fh:
@@ -306,13 +223,3 @@ def parse_interface_file(path) -> np.ndarray:
         g = g * cmath.exp(1j * theta)
     return g
 
-
-def load_interface(path) -> InterfaceMatrix:
-    """Read and validate a junction matrix from a JSON file.
-
-    Format: {"entries": [[re, im], [re, im], [re, im], [re, im]]} listing
-    the entries row-major (11, 12, 21, 22), plus an optional "theta" that
-    multiplies all entries by exp(i theta) (store the real factor and its
-    phase separately).
-    """
-    return validate_interface(parse_interface_file(path))

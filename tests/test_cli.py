@@ -513,6 +513,9 @@ def test_missing_subcommand_is_usage_error(capsys):
         (["dot", "--shape", "rect", "--resolution", "8", "--length2", "1e300"], 2),
         # 8e17 cells fit numpy's index type, but not in memory
         (["dot", "--shape", "rect", "--resolution", "8", "--length2", "1e17"], 2),
+        # --length2 sets the second rect side or the annulus inner radius only
+        (["dot", "--shape", "disk", "--resolution", "8", "--length2", "0.3", "--count", "1"], 2),
+        (["dot", "--shape", "interval", "--resolution", "8", "--length2", "0.3", "--count", "1"], 2),
         (["dot", "--shape", "rect", "--resolution", "2", "--count", "4"], 0),
         (["dot", "--shape", "rect", "--resolution", "2", "--count", "3"], 0),
         # levels 1-2 of this annulus are a degenerate pair that Lanczos can cut in two

@@ -15,7 +15,7 @@ def anticommutator(a, b):
 
 
 # ---------------------------------------------------------------------------
-# matrix bases
+# Pauli matrices
 
 
 def test_pauli_algebra():
@@ -37,122 +37,6 @@ def test_pauli_dot():
         dw.pauli_dot([1.0, 2.0])
 
 
-def test_basis_algebra_1d():
-    assert np.allclose(dw.ALPHA_1D @ dw.ALPHA_1D, np.eye(2))
-    assert np.allclose(dw.BETA_1D @ dw.BETA_1D, np.eye(2))
-    assert np.allclose(anticommutator(dw.ALPHA_1D, dw.BETA_1D), np.zeros((2, 2)))
-
-
-def test_basis_algebra_2p1():
-    mats = [dw.ALPHA1_TILDE_2P1, dw.BETA_TILDE_2P1, dw.ALPHA3_TILDE_2P1]
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
-            expected = 2.0 * np.eye(2) if i == j else np.zeros((2, 2))
-            assert np.allclose(anticommutator(a, b), expected, atol=1e-15)
-
-
-def test_basis_algebra_4p1():
-    mats = [dw.ALPHA_TILDE_4P1[0], dw.ALPHA_TILDE_4P1[1], dw.ALPHA_TILDE_4P1[2],
-            dw.BETA_TILDE_4P1, dw.ALPHA5_TILDE_4P1]
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
-            expected = 2.0 * np.eye(4) if i == j else np.zeros((4, 4))
-            assert np.allclose(anticommutator(a, b), expected, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# 1-d wall
-
-
-def test_accepts_imaginary_lambda():
-    wall = dw.validate_lambda_1d(0.7j)
-    assert wall.lam == 0.7j
-    assert wall.m == 1.0 and wall.c == 1.0
-    assert dw.boundary_current_1d(wall) == 0.0
-    assert dw.boundary_current_1d(wall, upper=2.0 - 1.0j) == 0.0
-    assert dw.axial_current_1d(wall) == pytest.approx(1.49, rel=1e-15)
-    # the axial current scales with the boundary density and never goes negative
-    assert dw.axial_current_1d(wall, upper=2.0) == pytest.approx(4 * 1.49, rel=1e-15)
-    assert dw.axial_current_1d(wall, upper=0.0) == 0.0
-
-
-def test_rejects_bad_lambda_1d():
-    with pytest.raises(NotSelfAdjointError):
-        dw.validate_lambda_1d(0.1 + 0.7j)
-    with pytest.raises(NotSelfAdjointError):
-        dw.validate_lambda_1d(1.0)
-    with pytest.raises(InvalidArgumentError):
-        dw.validate_lambda_1d(complex("nan"))
-    with pytest.raises(InvalidArgumentError):
-        dw.validate_lambda_1d(complex(float("inf"), 0.0))
-    with pytest.raises(InvalidArgumentError):
-        dw.validate_lambda_1d(0.7j, m=0.0)
-    with pytest.raises(InvalidArgumentError):
-        dw.validate_lambda_1d(0.7j, c=-1.0)
-    # a real part below the acceptance cutoff slips through by design
-    wall = dw.validate_lambda_1d(1e-15 + 0.5j)
-    assert abs(dw.boundary_current_1d(wall)) <= 1e-12
-
-
-def test_rejected_lambda_1d_has_nonzero_current():
-    # bypassing validation shows what acceptance prevents: a real part
-    # feeds a net probability current through the wall
-    leaky = dw.Lambda1D(lam=0.3 + 0.2j)
-    assert abs(dw.boundary_current_1d(leaky)) == pytest.approx(0.6, rel=1e-15)
-
-
-def test_nonrel_gamma_round_trip():
-    rng = np.random.default_rng(7)
-    for m, c in [(1.0, 1.0), (2.0, 0.5), (0.5, 137.0)]:
-        for gamma0 in [-40.0, -2.0, -1e-3, 0.0, 1e-3, 0.5, 7.25]:
-            wall = dw.validate_lambda_1d(-1j * gamma0 / (2 * m * c), m=m, c=c)
-            assert dw.nonrel_gamma_1d(wall) == pytest.approx(gamma0, rel=1e-14, abs=1e-14)
-        for gamma0 in rng.normal(scale=5.0, size=20):
-            wall = dw.validate_lambda_1d(-1j * gamma0 / (2 * m * c), m=m, c=c)
-            assert dw.nonrel_gamma_1d(wall) == pytest.approx(gamma0, rel=1e-14, abs=1e-14)
-    assert dw.nonrel_gamma_1d(dw.validate_lambda_1d(0.0)) == 0.0
-
-
-def _relativistic_bound_state(y: float, m: float, c: float):
-    """(E, c*decay) of the wall-bound solution with lower(0) = i y upper(0).
-
-    The decaying profile reduces the two-component wave equation to a linear
-    pair in E and K = c * decay: E + y K = m c^2 and -y E + K = m c^2 y.
-    """
-    A = np.array([[1.0, y], [-y, 1.0]])
-    rhs = np.array([m * c * c, m * c * c * y])
-    E, K = np.linalg.solve(A, rhs)
-    return float(E), float(K)
-
-
-def test_nonrel_gamma_sign_matches_binding():
-    # the relativistic wall binds a state exactly when Im lam > 0; the
-    # matching Robin wall must then be attractive (gamma < 0), and the
-    # relativistic binding energy must approach -gamma^2 / (2 m) as the
-    # coupling weakens -- this pins the sign of the map
-    for m, c in [(1.0, 1.0), (2.0, 137.0)]:
-        for y in [1e-3, 0.02]:
-            E, K = _relativistic_bound_state(y, m, c)
-            assert K > 0.0
-            binding = E - m * c * c
-            assert binding < 0.0
-            gamma = dw.nonrel_gamma_1d(dw.validate_lambda_1d(1j * y, m=m, c=c))
-            assert gamma < 0.0
-            assert binding == pytest.approx(-gamma**2 / (2 * m), rel=3 * y * y)
-        # the mirrored parameter does not bind and maps to a repulsive wall
-        E, K = _relativistic_bound_state(-0.3, m, c)
-        assert K < 0.0
-        assert dw.nonrel_gamma_1d(dw.validate_lambda_1d(-0.3j, m=m, c=c)) > 0.0
-
-
-def test_nonrel_gamma_unit_values():
-    # lam = i is a binding parameter, so its Robin image is the attractive
-    # wall of magnitude 2 m c (not the repulsive one)
-    assert dw.nonrel_gamma_1d(dw.validate_lambda_1d(1j)) == -2.0
-    assert dw.nonrel_gamma_1d(dw.validate_lambda_1d(1j, m=3.0, c=2.0)) == -12.0
-    assert dw.nonrel_gamma_1d(dw.validate_lambda_1d(-0.5j)) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # 3-d wall
 
@@ -172,8 +56,6 @@ def test_lambda_3d_diagonal_example():
     rng = np.random.default_rng(11)
     for _ in range(20):
         assert abs(dw.normal_current_3d(wall, _random_spinor(rng))) <= 1e-15
-    gamma = dw.pauli_gamma_matrix(wall)
-    assert np.allclose(gamma, 2.0 * dw.PAULI[2], atol=1e-14)
 
 
 def test_lambda_3d_rejections():
@@ -211,20 +93,6 @@ def test_lambda_3d_random_family():
     # chiral breaking is generic: essentially every spinor sees a nonzero
     # axial current
     assert np.mean(np.asarray(axial_magnitudes) > 1e-8) >= 0.99
-
-
-def test_pauli_gamma_hermitean_and_consistent():
-    # for lam = i (n.sigma) H the heavy-fermion matrix collapses to 2 m c H,
-    # an independent route to the same result
-    rng = np.random.default_rng(19)
-    for _ in range(50):
-        normal = _random_unit_normal(rng)
-        coeffs = rng.normal(size=4)
-        H = coeffs[0] * np.eye(2) + dw.pauli_dot(coeffs[1:])
-        wall = dw.validate_lambda_3d(1j * dw.pauli_dot(normal) @ H, normal)
-        gamma = dw.pauli_gamma_matrix(wall, m=1.3, c=0.7)
-        assert np.max(np.abs(gamma - gamma.conj().T)) <= 1e-12
-        assert np.allclose(gamma, 2.0 * 1.3 * 0.7 * H, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -277,23 +145,6 @@ def test_threshold_eta_two():
         assert dw.dispersion_2p1(wall, 0.76 * m * c).normalizable
     pt = dw.dispersion_2p1(dw.EtaWall(2.0), 1.0)
     assert pt.energy == pytest.approx(1.4, rel=1e-14)
-
-
-def test_dispersion_4p1_branches():
-    wall = dw.EtaWall(0.0)
-    for p_mag in [0.0, 0.5, 2.0]:
-        minus = dw.dispersion_4p1(wall, p_mag, branch=-1)
-        plus = dw.dispersion_4p1(wall, p_mag, branch=+1)
-        assert minus.energy == p_mag
-        assert plus.energy == -p_mag
-        assert minus.p == p_mag and plus.p == p_mag
-        assert minus.branch == -1 and plus.branch == +1
-    wall = dw.EtaWall(0.5)
-    for branch in (+1, -1):
-        pt = dw.dispersion_4p1(wall, 1.0, branch=branch)
-        ref = dw.numeric_oracle(wall, branch * 1.0)
-        assert pt.energy == pytest.approx(ref.energy, rel=1e-12, abs=1e-12)
-        assert pt.decay_rate == pytest.approx(ref.decay_rate, rel=1e-12, abs=1e-12)
 
 
 def test_numeric_oracle_point_values():
@@ -398,9 +249,5 @@ def test_dispersion_argument_errors():
     wall = dw.EtaWall(0.5)
     with pytest.raises(InvalidArgumentError):
         dw.dispersion_2p1(wall, math.inf)
-    with pytest.raises(InvalidArgumentError):
-        dw.dispersion_4p1(wall, -0.1, branch=+1)
-    with pytest.raises(InvalidArgumentError):
-        dw.dispersion_4p1(wall, 1.0, branch=0)
     with pytest.raises(InvalidArgumentError):
         dw.numeric_oracle(wall, math.nan)

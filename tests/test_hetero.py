@@ -2,8 +2,7 @@
 
 The acceptance predicate is algebraic, so most tests are identity checks:
 random members of the valid family must conserve the current exactly, and
-random perturbations off the family must be rejected.  The scattering
-solver is checked against the closed-form mass-step solution.
+random perturbations off the family must be rejected.
 """
 
 import cmath
@@ -16,12 +15,10 @@ import pytest
 from sae_lab.errors import GridIOError, InvalidArgumentError, NotSelfAdjointError
 from sae_lab.hetero import (
     InterfaceState,
-    RegionParams,
     current_mismatch,
-    load_interface,
     match_across,
     normal_current,
-    scatter_interface,
+    parse_interface_file,
     validate_interface,
 )
 
@@ -67,7 +64,7 @@ def test_tolerance_scales_per_identity(tmp_path):
     path = tmp_path / "big.json"
     path.write_text('{"entries": [[1e13, 0], [0, 0], [0, 0], [1, 0]]}')
     with pytest.raises(NotSelfAdjointError, match="conj\\(g11\\) g22"):
-        load_interface(path)
+        validate_interface(parse_interface_file(path))
     # a determinant-1 factor with entries far from 1 still passes
     validate_interface(np.array([[1e13, 1e13], [0.0, 1e-13]]))
 
@@ -143,66 +140,7 @@ def test_plane_wave_current():
     assert normal_current(state) == pytest.approx(k / m, rel=1e-14)
 
 
-def test_scatter_trivial_interface():
-    sol = scatter_interface(2.0, RegionParams(1.0), RegionParams(1.0), validate_interface(np.eye(2)))
-    assert abs(sol.R) <= 1e-14
-    assert sol.T == pytest.approx(1.0, abs=1e-14)
-    assert sol.transmission == pytest.approx(1.0, rel=1e-14)
-
-
-def test_scatter_mass_step_closed_form():
-    # continuous value and flux: T = 2/(1+r), R = (1-r)/(1+r) with
-    # r = k_right m_left / (k_left m_right)
-    E, m1, m2, V2 = 3.0, 1.0, 2.5, 0.5
-    sol = scatter_interface(E, RegionParams(m1), RegionParams(m2, V2), validate_interface(np.eye(2)))
-    k1 = math.sqrt(2 * m1 * E)
-    k2 = math.sqrt(2 * m2 * (E - V2))
-    r = k2 * m1 / (k1 * m2)
-    assert sol.T == pytest.approx(2 / (1 + r), rel=1e-14)
-    assert sol.R == pytest.approx((1 - r) / (1 + r), rel=1e-14)
-    assert sol.reflection + sol.transmission == pytest.approx(1.0, rel=1e-14)
-
-
-def test_scatter_evanescent_total_reflection():
-    sol = scatter_interface(1.0, RegionParams(1.0), RegionParams(1.0, 5.0), validate_interface(np.eye(2)))
-    assert sol.k_right.real == pytest.approx(0.0, abs=1e-15)
-    assert sol.k_right.imag > 0
-    assert sol.transmission == 0.0
-    assert abs(sol.R) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_scatter_flux_conservation_random_family():
-    rng = np.random.default_rng(45)
-    for _ in range(300):
-        gm = validate_interface(random_valid_entries(rng))
-        E = rng.uniform(0.5, 8.0)
-        left = RegionParams(rng.uniform(0.2, 3.0), rng.uniform(-1.0, E - 0.1))
-        right = RegionParams(rng.uniform(0.2, 3.0), rng.uniform(-1.0, E - 0.1))
-        sol = scatter_interface(E, left, right, gm)
-        assert sol.reflection + sol.transmission == pytest.approx(1.0, rel=1e-11)
-
-
-def test_scatter_phase_factor_drops_out():
-    g_real = np.array([[1.3, 0.4], [0.2, (1 + 0.4 * 0.2) / 1.3]])
-    sol0 = scatter_interface(2.0, RegionParams(1.0), RegionParams(2.0), validate_interface(g_real))
-    sol1 = scatter_interface(
-        2.0, RegionParams(1.0), RegionParams(2.0), validate_interface(cmath.exp(0.9j) * g_real)
-    )
-    assert sol1.R == pytest.approx(sol0.R, rel=1e-13)
-    assert abs(sol1.T) == pytest.approx(abs(sol0.T), rel=1e-13)
-    assert sol1.transmission == pytest.approx(sol0.transmission, rel=1e-13)
-
-
-def test_scatter_requires_propagating_left():
-    with pytest.raises(InvalidArgumentError):
-        scatter_interface(1.0, RegionParams(1.0, 2.0), RegionParams(1.0), validate_interface(np.eye(2)))
-
-
 def test_region_params_validation():
-    with pytest.raises(InvalidArgumentError):
-        RegionParams(-1.0)
-    with pytest.raises(InvalidArgumentError):
-        RegionParams(1.0, math.inf)
     with pytest.raises(InvalidArgumentError):
         InterfaceState(complex("inf"), 0.0)
 
@@ -210,31 +148,31 @@ def test_region_params_validation():
 def test_load_interface(tmp_path):
     path = tmp_path / "junction.json"
     path.write_text(json.dumps({"entries": [[2.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}))
-    gm = load_interface(path)
+    gm = validate_interface(parse_interface_file(path))
     assert gm.theta == 0.0
     assert np.allclose(gm.real_factor, [[2, 1], [1, 1]])
 
     path.write_text(
         json.dumps({"theta": 0.7, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]})
     )
-    gm = load_interface(path)
+    gm = validate_interface(parse_interface_file(path))
     assert gm.theta == pytest.approx(0.7, abs=1e-14)
 
 
 def test_load_interface_errors(tmp_path):
     with pytest.raises(GridIOError):
-        load_interface(tmp_path / "missing.json")
+        validate_interface(parse_interface_file(tmp_path / "missing.json"))
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(GridIOError):
-        load_interface(path)
+        validate_interface(parse_interface_file(path))
     path.write_text(json.dumps({"entries": [[1, 0], [0, 0]]}))
     with pytest.raises(GridIOError):
-        load_interface(path)
+        validate_interface(parse_interface_file(path))
     path.write_text(json.dumps({"theta": "x", "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
     with pytest.raises(GridIOError):
-        load_interface(path)
+        validate_interface(parse_interface_file(path))
     # a well-formed file holding an invalid matrix fails validation instead
     path.write_text(json.dumps({"entries": [[1, 0], [0, 0], [0, 0], [2, 0]]}))
     with pytest.raises(NotSelfAdjointError):
-        load_interface(path)
+        validate_interface(parse_interface_file(path))
