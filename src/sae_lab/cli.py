@@ -14,20 +14,24 @@ Subcommands:
 * dirac: domain-wall dispersion summary over an extension-parameter scan.
 
 Output conventions: CSV always starts with a header row; JSON documents
-carry "schema": 1.  Floats are printed with 17 significant digits so a
-given configuration reproduces byte-identical output.  Non-finite numbers
-appear as inf/-inf/nan in CSV and as the strings "inf"/"-inf"/"nan" in
-JSON (which has no literal for them).  Diagnostics go to stderr; data goes
-to stdout or the --output file.  Exit codes: 0 success, 2 usage or invalid
-configuration, 3 unreadable input or unwritable output, 4 solver failure.
+carry "schema": 1.  CSV prints floats with 17 significant digits, JSON with
+the shortest repr that reads back as the same double; both round-trip
+exactly, and a given configuration reproduces byte-identical output.
+Non-finite numbers appear as inf/-inf/nan in CSV and as the strings
+"inf"/"-inf"/"nan" in JSON (which has no literal for them).  Diagnostics go
+to stderr; data goes to stdout or the --output file.  Exit codes: 0 success,
+2 usage or invalid configuration, 3 unreadable input or unwritable output,
+4 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +48,17 @@ _SPECTRUM_LEVELS = 5
 # rendering
 #
 # Every cmd_* returns (header, rows, doc): the CSV table and the JSON body
-# without "schema" and "command".  A doc whose "rows" is _KEYED_ROWS serves
-# the CSV rows, keyed by the header, as its JSON rows.
+# without "schema" and "command".  _json writes the bytes json.dumps(body,
+# indent=2) gives once tuples are lists and scalars follow _scalar, without
+# the pure-Python encoder that json.dumps runs whenever indent is set.
 
-_KEYED_ROWS = object()
+
+class _Table(NamedTuple):
+    """JSON rows written as one object per row: key i holds cell i of the
+    row, and a key (name, n) holds the next n cells as a list."""
+
+    keys: list
+    rows: list
 
 
 def _fmt(value: float) -> str:
@@ -69,28 +80,67 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    value = float(value)
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    value = float(value)  # numpy scalars too
     if math.isfinite(value):
-        return value
-    if math.isnan(value):
-        return "nan"
-    return "inf" if value > 0 else "-inf"
+        return float.__repr__(value)
+    return '"nan"' if math.isnan(value) else '"inf"' if value > 0 else '"-inf"'
+
+
+def _wrap(opening: str, items: list, closing: str, indent: str) -> str:
+    if not items:
+        return opening + closing
+    inner = indent + "  "
+    return opening + inner + ("," + inner).join(items) + indent + closing
+
+
+_NON_FINITE = frozenset(("inf", "-inf", "nan"))
+
+
+def _table_rows(table: _Table, indent: str) -> list:
+    """The rows of table as JSON objects on lines that start with indent,
+    each through one % template; a row of finite floats costs one % and one
+    float.__repr__ per cell."""
+    fields = []
+    for key in table.keys:
+        name, n = (key, None) if isinstance(key, str) else key
+        value = "%s" if n is None else _wrap("[", ["%s"] * n, "]", indent + "  ")
+        fields.append(encode_basestring_ascii(name).replace("%", "%%") + ": " + value)
+    template = _wrap("{", fields, "}", indent)
+    lines = []
+    for row in table.rows:
+        try:
+            cells = tuple(map(float.__repr__, row))
+            finite = _NON_FINITE.isdisjoint(cells)
+        except TypeError:  # a cell that is not a float
+            finite = False
+        lines.append(template % (cells if finite else tuple(map(_scalar, row))))
+    return lines
+
+
+def _json(value, indent: str = "\n") -> str:
+    """value as JSON; indent is the newline and indentation of the line it starts on."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return _wrap("{", items, "}", indent)
+    if isinstance(value, _Table):
+        return _wrap("[", _table_rows(value, inner), "]", indent)
+    if isinstance(value, (list, tuple)):
+        return _wrap("[", [_json(v, inner) for v in value], "]", indent)
+    return _scalar(value)
 
 
 def _render(params: dict, header, rows, doc) -> str:
     if params["format"] == "csv":
         return _csv(header, rows)
-    body = {"schema": SCHEMA_VERSION, "command": params["subcommand"], **doc}
-    if body.get("rows") is _KEYED_ROWS:
-        body["rows"] = [dict(zip(header, row)) for row in rows]
-    return json.dumps(_json_ready(body), indent=2) + "\n"
+    return _json({"schema": SCHEMA_VERSION, "command": params["subcommand"], **doc}) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +202,10 @@ def cmd_spectrum(params: dict):
     with np.errstate(over="ignore", invalid="ignore"):
         energies = (energies * scale).tolist()
     rows = [[gamma if raw else x, *row] for (x, gamma), row in zip(samples, energies)]
-    doc_rows = [
-        {"arctan_half_gamma_L": x, "gamma": gamma, "energies": row}
-        for (x, gamma), row in zip(samples, energies)
-    ]
+    doc_rows = _Table(
+        ["arctan_half_gamma_L", "gamma", ("energies", _SPECTRUM_LEVELS)],
+        [[x, gamma, *row] for (x, gamma), row in zip(samples, energies)],
+    )
     header = ["gamma" if raw else "arctan_half_gamma_L"]
     header += [f"e{n}" for n in range(_SPECTRUM_LEVELS)]
     doc = {
@@ -175,12 +225,14 @@ def _dot_grid(params: dict):
     from . import qdot_fd
 
     try:
-        if params.get("grid"):
+        n, length, second = params["resolution"], params["length"], params["length2"]
+        if params["grid"]:
+            if (n, length, second) != (None, None, None):
+                raise InvalidArgumentError("--resolution, --length and --length2 do not apply to --grid")
             return qdot_fd.read_grid(params["grid"]), {"grid_file": params["grid"]}
         shape = params["shape"]
-        n = params["resolution"]
-        length = params["length"]
-        second = params.get("length2")
+        n = 64 if n is None else n
+        length = 1.0 if length is None else length
         if second is not None and shape in ("interval", "disk"):
             raise InvalidArgumentError("--length2 applies to rect and annulus only")
         if shape == "interval":
@@ -262,7 +314,8 @@ def cmd_scatter(params: dict):
     for k in ks:
         r = wall_models.reflection(k, gamma)
         rows.append([r.k, r.delta, r.R.real, r.R.imag])
-    return ["k", "phase_shift", "re_R", "im_R"], rows, {"gamma": gamma, "rows": _KEYED_ROWS}
+    header = ["k", "phase_shift", "re_R", "im_R"]
+    return header, rows, {"gamma": gamma, "rows": _Table(header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +338,7 @@ def cmd_wall(params: dict):
         eff = wall_models.effective_gamma(well, m)
         rows.append([eps, well.V0, well.q, eff, eff - gamma])
     header = ["epsilon", "well_depth", "well_wavenumber", "effective_gamma", "error"]
-    return header, rows, {"gamma": gamma, "mass": m, "rows": _KEYED_ROWS}
+    return header, rows, {"gamma": gamma, "mass": m, "rows": _Table(header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +393,7 @@ def cmd_dirac(params: dict):
         "threshold_momentum_over_mc",
         "normalizable_side",
     ]
-    return header, rows, {"rows": _KEYED_ROWS}
+    return header, rows, {"rows": _Table(header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="built-in region (default disk)",
     )
     dot.add_argument(
-        "--resolution", type=int, default=64,
+        "--resolution", type=int, default=None,
         help="cells across the primary dimension (default 64)",
     )
     dot.add_argument(
-        "--length", type=float, default=1.0,
+        "--length", type=float, default=None,
         help="interval length / rectangle first side / disk radius / annulus outer radius",
     )
     dot.add_argument(
@@ -468,8 +521,14 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: building one costs over a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    params = vars(build_parser().parse_args(argv))
+    params = vars(_parser().parse_args(argv))
     try:
         text = _render(params, *_DISPATCH[params["subcommand"]](params))
     except GridIOError as exc:

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sae_lab.cli as cli
 from sae_lab import box1d, qdot_fd
@@ -189,6 +189,24 @@ def test_dot_grid_file_roundtrip(tmp_path, capsys):
     levels = json.loads(out)["levels"]
     assert levels[0]["flow"]["lhs"] == pytest.approx(levels[0]["flow"]["rhs"], rel=1e-4)
     assert [level["flow"] for level in levels[1:]] == [None, None, None]
+
+
+@pytest.mark.parametrize(
+    "extra, code",
+    [([], 0), (["--length2", "0.3"], 2), (["--length", "5", "--resolution", "3"], 2),
+     (["--length", "1"], 2), (["--resolution", "64"], 2)],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit{value}",
+)
+def test_dot_grid_rejects_the_built_in_shape_sizes(extra, code, tmp_path, capsys):
+    # a mask file carries its own size and spacing, so these options would be ignored
+    path = tmp_path / "disk.grid"
+    qdot_fd.write_grid(qdot_fd.disk_grid(1.0, 8), path)
+    rc, out, err = run_cli(["dot", "--grid", str(path), "--count", "1", "--format", "csv", *extra], capsys)
+    assert rc == code
+    if code:
+        assert out == "" and err.startswith("error: ") and "--grid" in err
+    else:
+        assert out.startswith("n,energy,") and err == ""
 
 
 def test_dot_io_and_usage_failures(tmp_path, capsys):
@@ -469,6 +487,129 @@ def test_dirac_speed_is_within_4_ulp(args, capsys):
                 continue
             worst = max(worst, float(abs(speed - exact)) / math.ulp(float(exact)))
     assert worst <= 4.0
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+
+
+def json_ready(value):
+    """The reference scalar rule: the writer must print the bytes of
+    json.dumps(json_ready(doc), indent=2)."""
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    value = float(value)
+    if math.isfinite(value):
+        return value
+    if math.isnan(value):
+        return "nan"
+    return "inf" if value > 0 else "-inf"
+
+
+_HUGE = 1.7976931348623157e308
+_JSON_SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225e-308, _HUGE, -_HUGE]),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.floats().map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+def _keyed(keys, row):
+    """One table row as the dict it stands for."""
+    cells, out = iter(row), {}
+    for key in keys:
+        if isinstance(key, str):
+            out[key] = next(cells)
+        else:
+            out[key[0]] = [next(cells) for _ in range(key[1])]
+    return out
+
+
+@st.composite
+def _json_tables(draw):
+    """(table, its rows as dicts), with plain and (name, n) keys."""
+    names = draw(st.lists(st.text(st.sampled_from('%sü\x00"\\') | st.characters(), max_size=5), unique=True, min_size=1, max_size=4))
+    keys = [name if draw(st.booleans()) else (name, draw(st.integers(0, 3))) for name in names]
+    width = sum(1 if isinstance(key, str) else key[1] for key in keys)
+    finite = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width, max_size=width)
+    floats = st.lists(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]), min_size=width, max_size=width)
+    mixed = st.lists(_JSON_SCALARS, min_size=width, max_size=width)
+    rows = draw(st.lists(finite | floats | mixed, max_size=4))
+    return cli._Table(keys, rows), [_keyed(keys, row) for row in rows]
+
+
+def _json_nodes(children):
+    lists = st.lists(children, max_size=4)
+    return st.one_of(
+        lists.map(lambda kids: ([v for v, _ in kids], [r for _, r in kids])),
+        lists.map(lambda kids: (tuple(v for v, _ in kids), [r for _, r in kids])),
+        st.dictionaries(st.text(), children, max_size=4).map(
+            lambda d: ({k: v for k, (v, _) in d.items()}, {k: r for k, (_, r) in d.items()})
+        ),
+    )
+
+
+# (document, the same document with every table as a list of dicts)
+_JSON_DOCS = st.recursive(_JSON_SCALARS.map(lambda v: (v, v)) | _json_tables(), _json_nodes, max_leaves=8)
+
+
+_EDGE_TABLE = cli._Table(
+    ["k%s", ("ü", 2)], [[-math.inf, 0.5, -0.0], [math.nan, math.inf, 1e-320], [np.float64(0.1), 1, "x"]]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_DOCS)
+@example(({"rows": _EDGE_TABLE, "e": [], "t": ()}, {"rows": [_keyed(_EDGE_TABLE.keys, row) for row in _EDGE_TABLE.rows], "e": [], "t": []}))
+def test_json_writer_matches_the_stdlib(pair):
+    doc, reference = pair
+    assert cli._json(doc) == json.dumps(json_ready(reference), indent=2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--format", "json"],
+        ["spectrum", "--gamma-steps", "5", "--raw-units", "--format", "json"],
+        ["spectrum", "--gamma=-0.0", "--format", "json"],
+        ["dot", "--shape", "interval", "--resolution", "8", "--count", "2", "--gamma=inf"],
+        ["dot", "--shape", "disk", "--resolution", "8", "--count", "3", "--gamma=-1"],
+        ["scatter", "--gamma=inf", "--k-steps", "1", "--format", "json"],
+        ["scatter", "--k-steps", "7", "--format", "json"],
+        ["wall", "--gamma=-0.0", "--format", "json"],
+        ["dirac", "--eta-steps", "3", "--format", "json"],
+        ["dirac", "--format", "json"],
+        ["hetero"],
+    ],
+    ids=" ".join,
+)
+def test_json_output_is_its_own_stdlib_encoding(args, tmp_path, capsys):
+    if args == ["hetero"]:
+        path = tmp_path / "jünction.json"
+        write_matrix(path, [[0.6, 0.8], [0, 0], [0, 0], [0.6, -0.8]], theta=0.3)
+        args = ["hetero", "--matrix", str(path)]
+    rc, out, err = run_cli(args, capsys)
+    assert (rc, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_main_reuses_one_parser(capsys):
+    first = ["dot", "--shape", "interval", "--count", "2", "--format", "csv"]
+    outputs = [run_cli(args, capsys) for args in (first, ["dirac", "--eta-steps", "3", "--format", "json"], first)]
+    assert outputs[0] == outputs[2] and outputs[0][0] == 0
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 # ---------------------------------------------------------------------------
