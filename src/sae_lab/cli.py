@@ -30,6 +30,7 @@ import argparse
 import functools
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -47,37 +48,48 @@ _SPECTRUM_LEVELS = 5
 # ---------------------------------------------------------------------------
 # rendering
 #
-# Every cmd_* returns (header, rows, doc): the CSV table and the JSON body
-# without "schema" and "command".  _json writes the bytes json.dumps(body,
-# indent=2) gives once tuples are lists and scalars follow _scalar, without
-# the pure-Python encoder that json.dumps runs whenever indent is set.
+# Every cmd_* returns (table, doc): the CSV table and the JSON body without
+# "schema" and "command".  Each writer renders a whole _Table through one %
+# template, so a float64 array column costs one tolist() and one formatting
+# pass (%.17g in CSV, float.__repr__ in JSON) and no per-row Python work.
+# _json writes the bytes json.dumps(body, indent=2) gives once tuples are
+# lists and scalars follow _scalar, without the pure-Python encoder that
+# json.dumps runs whenever indent is set.
 
 
 class _Table(NamedTuple):
-    """JSON rows written as one object per row: key i holds cell i of the
-    row, and a key (name, n) holds the next n cells as a list."""
+    """Columns of one length under keys; a column is a float64 ndarray or a
+    sequence of cells of any kind _scalar takes (str, None, int, float).
+
+    In CSV the keys are the header, one per column.  In JSON each row is an
+    object: key i holds the row's cell of the next column, and a key (name, n)
+    holds the next n columns' cells as a list.  A table without columns has
+    no rows.
+    """
 
     keys: list
-    rows: list
+    columns: list
+
+    @property
+    def row_count(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
 
 
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, str):
-                cells.append(cell)
-            else:
-                cells.append(_fmt(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv(table: _Table) -> str:
+    slots, columns = [], []
+    for column in table.columns:
+        if isinstance(column, np.ndarray):
+            slots.append("%.17g")  # inf, -inf and nan print as _fmt prints them
+            columns.append(column.tolist())
+        else:
+            slots.append("%s")
+            columns.append(["" if c is None else c if isinstance(c, str) else _fmt(c) for c in column])
+    lines = [",".join(table.keys).replace("%", "%%")] + [",".join(slots)] * table.row_count
+    return "\n".join(lines) % tuple(chain.from_iterable(zip(*columns))) + "\n"
 
 
 def _scalar(value) -> str:
@@ -100,28 +112,29 @@ def _wrap(opening: str, items: list, closing: str, indent: str) -> str:
     return opening + inner + ("," + inner).join(items) + indent + closing
 
 
-_NON_FINITE = frozenset(("inf", "-inf", "nan"))
+def _json_cells(column) -> list:
+    if not isinstance(column, np.ndarray):
+        return list(map(_scalar, column))
+    cells = list(map(float.__repr__, column.tolist()))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[i] = _scalar(column[i])
+    return cells
 
 
-def _table_rows(table: _Table, indent: str) -> list:
-    """The rows of table as JSON objects on lines that start with indent,
-    each through one % template; a row of finite floats costs one % and one
-    float.__repr__ per cell."""
+def _table_rows(table: _Table, indent: str) -> str:
+    """table as a JSON array of one object per row, on a line indented by indent.
+
+    One % fills a template of every row.  An array column's cells are its
+    float.__repr__ strings, with the non-finite ones np.isfinite finds
+    swapped for _scalar's strings; a list column's cells go through _scalar."""
     fields = []
     for key in table.keys:
         name, n = (key, None) if isinstance(key, str) else key
-        value = "%s" if n is None else _wrap("[", ["%s"] * n, "]", indent + "  ")
+        value = "%s" if n is None else _wrap("[", ["%s"] * n, "]", indent + "    ")
         fields.append(encode_basestring_ascii(name).replace("%", "%%") + ": " + value)
-    template = _wrap("{", fields, "}", indent)
-    lines = []
-    for row in table.rows:
-        try:
-            cells = tuple(map(float.__repr__, row))
-            finite = _NON_FINITE.isdisjoint(cells)
-        except TypeError:  # a cell that is not a float
-            finite = False
-        lines.append(template % (cells if finite else tuple(map(_scalar, row))))
-    return lines
+    row = _wrap("{", fields, "}", indent + "  ")
+    cells = chain.from_iterable(zip(*map(_json_cells, table.columns)))
+    return _wrap("[", [row] * table.row_count, "]", indent) % tuple(cells)
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -131,15 +144,15 @@ def _json(value, indent: str = "\n") -> str:
         items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
         return _wrap("{", items, "}", indent)
     if isinstance(value, _Table):
-        return _wrap("[", _table_rows(value, inner), "]", indent)
+        return _table_rows(value, indent)
     if isinstance(value, (list, tuple)):
         return _wrap("[", [_json(v, inner) for v in value], "]", indent)
     return _scalar(value)
 
 
-def _render(params: dict, header, rows, doc) -> str:
+def _render(params: dict, table: _Table, doc) -> str:
     if params["format"] == "csv":
-        return _csv(header, rows)
+        return _csv(table)
     return _json({"schema": SCHEMA_VERSION, "command": params["subcommand"], **doc}) + "\n"
 
 
@@ -147,21 +160,25 @@ def _render(params: dict, header, rows, doc) -> str:
 # sweeps
 
 
+_tan = np.vectorize(math.tan, otypes=[float])
+
+
 def _arctan_samples(params: dict, name: str, scale: float):
-    """(x, value) samples of the --<name> options, uniform in x = arctan(value * scale).
+    """(x, value) arrays of the --<name> samples, uniform in x = arctan(value * scale).
 
     A single --<name> gives one sample; otherwise --<name>-steps samples run
     from --<name>-min to --<name>-max, each end defaulting to the matching
     infinity; a NaN single value is rejected.  An x that reaches +-pi/2 (the
     float value) maps to +-inf: for the wall parameter that is the Dirichlet
     spectrum, which is also the correct limit for any gamma too large to
-    distinguish from the wall at double precision.
+    distinguish from the wall at double precision.  value is math.tan(x) / scale,
+    since np.tan may round differently.
     """
     single = params.get(name)
     if single is not None:
         if math.isnan(single):
             raise InvalidArgumentError(f"{name} must not be NaN")
-        return [(math.atan(single * scale), single)]
+        return np.array([math.atan(single * scale)]), np.array([single])
     if scale == 0.0:
         raise InvalidArgumentError(f"the {name} scale underflows to 0, so no sweep can sample {name}")
     steps = params[f"{name}_steps"]
@@ -174,18 +191,13 @@ def _arctan_samples(params: dict, name: str, scale: float):
     x_hi = half_pi if hi is None else math.atan(hi * scale)
     if not x_lo < x_hi:
         raise InvalidArgumentError(f"empty {name} range: min {lo} does not lie below max {hi}")
-    samples = []
-    for i in range(steps):
-        t = i / (steps - 1)
-        x = x_lo * (1.0 - t) + x_hi * t
-        if x <= -half_pi:
-            value = -math.inf
-        elif x >= half_pi:
-            value = math.inf
-        else:
-            value = math.tan(x) / scale
-        samples.append((x, value))
-    return samples
+    t = np.arange(steps) / (steps - 1)
+    x = x_lo * (1.0 - t) + x_hi * t
+    with np.errstate(over="ignore"):
+        value = _tan(x) / scale
+    value[x <= -half_pi] = -math.inf
+    value[x >= half_pi] = math.inf
+    return x, value
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +209,19 @@ def cmd_spectrum(params: dict):
     box1d.BoxSpec(m=m, L=L, gamma=0.0)  # reject a bad m or L before sampling divides by L
     raw = params["raw_units"]
     scale = 1.0 if raw else 2.0 * (m * L * L) / math.pi**2
-    samples = _arctan_samples(params, "gamma", L / 2.0)
-    energies = box1d._levels(m, L, [gamma for _, gamma in samples], _SPECTRUM_LEVELS)[1]
+    x, gamma = _arctan_samples(params, "gamma", L / 2.0)
+    energies = box1d._levels(m, L, gamma, _SPECTRUM_LEVELS)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = (energies * scale).tolist()
-    rows = [[gamma if raw else x, *row] for (x, gamma), row in zip(samples, energies)]
-    doc_rows = _Table(
-        ["arctan_half_gamma_L", "gamma", ("energies", _SPECTRUM_LEVELS)],
-        [[x, gamma, *row] for (x, gamma), row in zip(samples, energies)],
-    )
+        energies = list(energies.T * scale)
     header = ["gamma" if raw else "arctan_half_gamma_L"]
     header += [f"e{n}" for n in range(_SPECTRUM_LEVELS)]
     doc = {
         "mass": m,
         "length": L,
         "units": "raw" if raw else "scaled_2mL2_over_pi2",
-        "rows": doc_rows,
+        "rows": _Table(["arctan_half_gamma_L", "gamma", ("energies", _SPECTRUM_LEVELS)], [x, gamma, *energies]),
     }
-    return header, rows, doc
+    return _Table(header, [gamma if raw else x, *energies]), doc
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +297,7 @@ def cmd_dot(params: dict):
         "spacing": grid.h,
         "levels": levels,
     }
-    return header, rows, doc
+    return _Table(header, list(zip(*rows))), doc
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +316,11 @@ def cmd_scatter(params: dict):
     else:
         if not k_min < k_max:
             raise InvalidArgumentError(f"empty wavenumber range [{k_min}, {k_max}]")
-        ks = [k_min + (k_max - k_min) * i / (steps - 1) for i in range(steps)]
-    rows = []
-    for k in ks:
-        r = wall_models.reflection(k, gamma)
-        rows.append([r.k, r.delta, r.R.real, r.R.imag])
-    header = ["k", "phase_shift", "re_R", "im_R"]
-    return header, rows, {"gamma": gamma, "rows": _Table(header, rows)}
+        with np.errstate(over="ignore", invalid="ignore"):  # reflection rejects the inf and nan
+            ks = k_min + (k_max - k_min) * np.arange(steps) / (steps - 1)
+    r = wall_models.reflection(ks, gamma)
+    table = _Table(["k", "phase_shift", "re_R", "im_R"], [r.k, r.delta, r.R.real, r.R.imag])
+    return table, {"gamma": gamma, "rows": table}
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +343,8 @@ def cmd_wall(params: dict):
         eff = wall_models.effective_gamma(well, m)
         rows.append([eps, well.V0, well.q, eff, eff - gamma])
     header = ["epsilon", "well_depth", "well_wavenumber", "effective_gamma", "error"]
-    return header, rows, {"gamma": gamma, "mass": m, "rows": _Table(header, rows)}
+    table = _Table(header, list(zip(*rows)))
+    return table, {"gamma": gamma, "mass": m, "rows": table}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +372,7 @@ def cmd_hetero(params: dict):
         "theta": theta,
         "residuals": residuals,
     }
-    return ["name", "value"], rows, doc
+    return _Table(["name", "value"], list(zip(*rows))), doc
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +380,13 @@ def cmd_hetero(params: dict):
 
 
 def cmd_dirac(params: dict):
-    rows = []
-    for _, eta in _arctan_samples(params, "eta", 1.0):
-        # with p in units of m c, E/(m c^2) = sin(phi) - cos(phi) p, and the
-        # decay rate/(m c) = cos(phi) + sin(phi) p changes sign at p = -cos/sin
-        sin_phi, cos_phi = dirac_wall._mixing_parts(eta)
-        if sin_phi != 0.0:
-            threshold, side = -cos_phi / sin_phi, "above" if sin_phi > 0.0 else "below"
-        elif cos_phi > 0.0:
-            threshold, side = -math.inf, "all"
-        else:
-            threshold, side = math.inf, "none"
-        rows.append([eta, abs(cos_phi), sin_phi, threshold, side])
+    eta = _arctan_samples(params, "eta", 1.0)[1]
+    sin_phi, cos_phi = np.array([dirac_wall._mixing_parts(e) for e in eta.tolist()]).T
+    # with p in units of m c, E/(m c^2) = sin(phi) - cos(phi) p, and the
+    # decay rate/(m c) = cos(phi) + sin(phi) p changes sign at p = -cos/sin
+    with np.errstate(divide="ignore", over="ignore"):
+        threshold = np.where(sin_phi != 0.0, -cos_phi / sin_phi, np.where(cos_phi > 0.0, -np.inf, np.inf))
+    side = np.select([sin_phi > 0.0, sin_phi < 0.0, cos_phi > 0.0], ["above", "below", "all"], "none")
     header = [
         "eta",
         "speed_over_c",
@@ -393,7 +394,8 @@ def cmd_dirac(params: dict):
         "threshold_momentum_over_mc",
         "normalizable_side",
     ]
-    return header, rows, {"rows": _Table(header, rows)}
+    table = _Table(header, [eta, np.abs(cos_phi), sin_phi, threshold, side.tolist()])
+    return table, {"rows": table}
 
 
 # ---------------------------------------------------------------------------

@@ -746,7 +746,7 @@ def _nearby_levels(ham: DiscreteHamiltonian, near: DiscreteHamiltonian, v: np.nd
     start block LOBPCG on the part's block of ``near.matrix``,
     preconditioned by the part's shared factor, one block solve per step.
     A part that ``solve_lowest`` solved densely (no more cells than
-    levels asked for), or of fewer than 5k cells, too few for the block
+    levels asked for), or of fewer than 5 * k cells, too few for the block
     iteration, is solved densely again.  Levels are ``_checked_levels``.
     """
     x = np.zeros_like(v)

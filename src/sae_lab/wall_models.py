@@ -14,9 +14,10 @@ surface:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidArgumentError, SingularConfigurationError
 
@@ -28,19 +29,21 @@ __all__ = [
     "effective_gamma",
 ]
 
+_atan = np.vectorize(math.atan, otypes=[float])
+
 
 @dataclass(frozen=True)
 class ScatterResult:
-    """Reflection data at one wavenumber: amplitude R and phase shift delta.
+    """Reflection data over wavenumbers k: amplitude R and phase shift delta, each of k's shape.
 
     delta is reported in its principal form 2*arctan(k/gamma) + pi, which for
     k > 0 always lies in (0, 2*pi]: Dirichlet gives pi, Neumann 2*pi, and R is
     exp(i*delta), unimodular by construction.
     """
 
-    k: float
-    R: complex
-    delta: float
+    k: np.ndarray
+    R: np.ndarray
+    delta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,25 @@ class WellApprox:
     target_gamma: float
 
 
-def reflection(k: float, gamma: float) -> ScatterResult:
-    """Phase shift and reflection amplitude for a plane wave of wavenumber k.
+def reflection(k, gamma: float) -> ScatterResult:
+    """Phase shift and reflection amplitude for plane waves of wavenumbers k.
 
-    gamma may be +-inf (Dirichlet, delta = pi).  Requires k > 0.
+    k is one wavenumber or an array of them, each > 0 and finite; gamma may
+    be +-inf (Dirichlet, delta = pi).  Each element is bit-equal to the
+    scalar closed form 2*atan(k/gamma) + pi and cmath.exp(1j*delta): atan is
+    math.atan per element, since np.arctan may round differently.
     """
-    k = float(k)
+    k = np.asarray(k, dtype=float)
     gamma = float(gamma)
-    if not math.isfinite(k) or k <= 0.0:
-        raise InvalidArgumentError(f"wavenumber must be positive and finite, got {k}")
+    bad = np.flatnonzero(~np.isfinite(k) | (k <= 0.0))
+    # in the order of a loop over k: a bad first k, then a NaN gamma, then any bad k
+    if len(bad) and (bad[0] == 0 or not math.isnan(gamma)):
+        raise InvalidArgumentError(f"wavenumber must be positive and finite, got {float(k.flat[bad[0]])}")
     if math.isnan(gamma):
         raise InvalidArgumentError("gamma must not be NaN")
-    delta = 2.0 * math.atan(k / gamma) + math.pi if gamma != 0.0 else 2.0 * math.pi
-    return ScatterResult(k, cmath.exp(1j * delta), delta)
+    with np.errstate(over="ignore"):
+        delta = 2.0 * _atan(k / gamma) + math.pi if gamma != 0.0 else np.full(k.shape, 2.0 * math.pi)
+    return ScatterResult(k, np.cos(delta) + 1j * np.sin(delta), delta)
 
 
 def square_well_parameters(gamma: float, epsilon: float, m: float) -> WellApprox:

@@ -33,6 +33,32 @@ def parse_csv(text):
     return header, rows
 
 
+def arctan_samples_loop(lo, hi, steps, scale):
+    """The (x, value) samples of a sweep, one scalar at a time: the reference
+    _arctan_samples' arrays must match bit for bit."""
+    half_pi = math.pi / 2.0
+    x_lo = -half_pi if lo is None else math.atan(lo * scale)
+    x_hi = half_pi if hi is None else math.atan(hi * scale)
+    samples = []
+    for i in range(steps):
+        t = i / (steps - 1)
+        x = x_lo * (1.0 - t) + x_hi * t
+        value = -math.inf if x <= -half_pi else math.inf if x >= half_pi else math.tan(x) / scale
+        samples.append((x, value))
+    return samples
+
+
+@pytest.mark.parametrize(
+    "lo, hi, steps, scale",
+    [(None, None, 2001, 0.5), (-3.0, 1e4, 777, 1.0), (1.5, 2.5, 64, 1.0), (None, 1e-3, 100, 5e-324), (-1e300, 1e300, 64, 0.5)],
+)
+def test_arctan_samples_are_the_scalar_loop(lo, hi, steps, scale):
+    params = {"eta": None, "eta_min": lo, "eta_max": hi, "eta_steps": steps}
+    x, value = cli._arctan_samples(params, "eta", scale)
+    got = [(a.hex(), b.hex()) for a, b in zip(x.tolist(), value.tolist())]
+    assert got == [(a.hex(), b.hex()) for a, b in arctan_samples_loop(lo, hi, steps, scale)]
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -308,6 +334,21 @@ def test_scatter_neumann_phase(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--gamma=0.0", "--k-max=inf", "--k-steps=2"], "wavenumber must be positive and finite, got nan"),
+        (["--gamma=nan", "--k-max=inf", "--k-steps=2"], "wavenumber must be positive and finite, got nan"),
+        # the first k is good, so a NaN gamma is named before the last k overflows
+        (["--gamma=nan", "--k-max=1.7e308", "--k-steps=3"], "gamma must not be NaN"),
+        (["--gamma=1", "--k-max=1.7e308", "--k-steps=3"], "wavenumber must be positive and finite, got inf"),
+    ],
+)
+def test_scatter_names_the_first_bad_wavenumber(args, message, capsys):
+    rc, out, err = run_cli(["scatter", "--k-min=1.0", *args], capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # wall
 
@@ -536,17 +577,24 @@ def _keyed(keys, row):
     return out
 
 
+def _column(length):
+    """A float64 array column, finite or not, or a list column of any scalars."""
+    finite = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=length, max_size=length)
+    floats = st.lists(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]), min_size=length, max_size=length)
+    mixed = st.lists(_JSON_SCALARS, min_size=length, max_size=length)
+    return (finite | floats).map(lambda cells: np.array(cells, dtype=float)) | mixed
+
+
 @st.composite
-def _json_tables(draw):
-    """(table, its rows as dicts), with plain and (name, n) keys."""
-    names = draw(st.lists(st.text(st.sampled_from('%sü\x00"\\') | st.characters(), max_size=5), unique=True, min_size=1, max_size=4))
-    keys = [name if draw(st.booleans()) else (name, draw(st.integers(0, 3))) for name in names]
+def _column_tables(draw, nested=True):
+    """(table, its rows as dicts), with plain and, if nested, (name, n) keys;
+    a table without columns has no rows."""
+    names = draw(st.lists(st.text(st.sampled_from('%sü\x00"\\,\n') | st.characters(), max_size=5), unique=True, min_size=1, max_size=4))
+    keys = [name if not nested or draw(st.booleans()) else (name, draw(st.integers(0, 3))) for name in names]
     width = sum(1 if isinstance(key, str) else key[1] for key in keys)
-    finite = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width, max_size=width)
-    floats = st.lists(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]), min_size=width, max_size=width)
-    mixed = st.lists(_JSON_SCALARS, min_size=width, max_size=width)
-    rows = draw(st.lists(finite | floats | mixed, max_size=4))
-    return cli._Table(keys, rows), [_keyed(keys, row) for row in rows]
+    length = draw(st.integers(0, 4)) if width else 0
+    columns = [draw(_column(length)) for _ in range(width)]
+    return cli._Table(keys, columns), [_keyed(keys, row) for row in zip(*columns)]
 
 
 def _json_nodes(children):
@@ -561,20 +609,44 @@ def _json_nodes(children):
 
 
 # (document, the same document with every table as a list of dicts)
-_JSON_DOCS = st.recursive(_JSON_SCALARS.map(lambda v: (v, v)) | _json_tables(), _json_nodes, max_leaves=8)
+_JSON_DOCS = st.recursive(_JSON_SCALARS.map(lambda v: (v, v)) | _column_tables(), _json_nodes, max_leaves=8)
 
 
 _EDGE_TABLE = cli._Table(
-    ["k%s", ("ü", 2)], [[-math.inf, 0.5, -0.0], [math.nan, math.inf, 1e-320], [np.float64(0.1), 1, "x"]]
+    ["k%s", ("ü", 3), "s"],
+    [
+        np.array([-math.inf, math.nan, 0.1]),
+        np.array([0.5, -0.0, 1e-320]),
+        [np.float64(0.1), np.int64(7), np.bool_(True)],
+        [None, math.inf, -0.0],
+        ["x", 1e-320, math.nan],
+    ],
 )
 
 
 @settings(max_examples=100, deadline=None)
 @given(_JSON_DOCS)
-@example(({"rows": _EDGE_TABLE, "e": [], "t": ()}, {"rows": [_keyed(_EDGE_TABLE.keys, row) for row in _EDGE_TABLE.rows], "e": [], "t": []}))
+@example(({"rows": _EDGE_TABLE, "e": [], "t": ()}, {"rows": [_keyed(_EDGE_TABLE.keys, row) for row in zip(*_EDGE_TABLE.columns)], "e": [], "t": []}))
 def test_json_writer_matches_the_stdlib(pair):
     doc, reference = pair
     assert cli._json(doc) == json.dumps(json_ready(reference), indent=2)
+
+
+def csv_reference(table):
+    """The per-cell CSV rule _csv must reproduce: _fmt per number, "" for None, a str as is."""
+    def cell(value):
+        return "" if value is None else value if isinstance(value, str) else cli._fmt(value)
+
+    lines = [",".join(table.keys)] + [",".join(map(cell, row)) for row in zip(*table.columns)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_column_tables(nested=False))
+@example((cli._Table(["k%s", "ü", "a", "b", "s"], _EDGE_TABLE.columns), None))
+def test_csv_writer_matches_the_per_cell_rule(pair):
+    table, _ = pair
+    assert cli._csv(table) == csv_reference(table)
 
 
 @pytest.mark.parametrize(
@@ -814,6 +886,7 @@ def test_dirac_argv_ends_in_a_clean_exit(eta, eta_min, eta_max, steps, fmt):
     steps=st.integers(min_value=-1, max_value=64),
     fmt=st.sampled_from(["csv", "json"]),
 )
+@example(gamma=0.0, k_min=1.0, k_max=math.inf, steps=2, fmt="csv")  # inf * 0 in the k grid
 def test_scatter_argv_ends_in_a_clean_exit(gamma, k_min, k_max, steps, fmt):
     args = ["scatter", f"--k-steps={steps}", "--format", fmt]
     _clean_exit(args + _float_flags(gamma=gamma, k_min=k_min, k_max=k_max))

@@ -77,6 +77,33 @@ def test_bad_wavenumber_rejected():
         reflection(1.0, float("nan"))
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-300, -1e-300, 0.37, -0.37, 1e300, -1e300, INF, -INF])
+def test_reflection_over_an_array_is_the_scalar_closed_form(gamma):
+    rng = np.random.default_rng(7)
+    k = np.concatenate([np.geomspace(1e-310, 1e308, 300), rng.uniform(0.01, 50.0, 20000)])
+    r = reflection(k, gamma)
+    delta = [2.0 * math.atan(ki / gamma) + math.pi if gamma != 0.0 else 2.0 * math.pi for ki in k.tolist()]
+    R = [cmath.exp(1j * d) for d in delta]
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    assert bits(r.k) == bits(k)
+    assert bits(r.delta) == bits(delta)
+    assert bits(r.R.real) == bits(z.real for z in R)
+    assert bits(r.R.imag) == bits(z.imag for z in R)
+
+
+def test_bad_wavenumber_in_an_array_is_named():
+    with pytest.raises(InvalidArgumentError, match="got -3.0"):
+        reflection([1.0, 2.0, -3.0, math.nan], 1.0)
+    # in the order of a loop over k: a bad first k, then a NaN gamma, then the rest
+    with pytest.raises(InvalidArgumentError, match="got nan"):
+        reflection([math.nan, 1.0], math.nan)
+    with pytest.raises(InvalidArgumentError, match="gamma must not be NaN"):
+        reflection([1.0, INF], math.nan)
+
+
 def test_well_parameters_closed_form():
     w = square_well_parameters(2.0, 0.01, 1.0)
     assert w.q == pytest.approx(math.pi / 0.02 - 4.0 / math.pi, rel=1e-15)
