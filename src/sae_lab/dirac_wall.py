@@ -6,14 +6,15 @@ Two related constructions live here:
   through a 2x2 matrix lam; admissibility means (n.sigma) lam is
   anti-Hermitean, where n is the outward unit normal.
 
-* Domain walls in one extra dimension: states bound to the wall disperse as
-  E = sin(phi) m c^2 - cos(phi) p c with the wall parameter eta = tan(phi/2),
-  decay rate cos(phi) m c + sin(phi) p, drift speed |cos(phi)| c and
-  chemical potential sin(phi) m c^2.  The tan-half-angle parameterization
-  makes the eta = 0 and eta = +-inf limits exact.  A separate numeric route
-  solves the two-component bound-state equations, a 2x2 linear system, and
-  recovers the drift speed and chemical potential from finite differences
-  of E(p), serving as an oracle for the closed forms.
+* Domain walls in one extra dimension, in units m = c = 1: states bound to
+  the wall disperse as E = sin(phi) - cos(phi) p with the wall parameter
+  eta = tan(phi/2), decay rate cos(phi) + sin(phi) p, drift speed
+  |cos(phi)| and chemical potential sin(phi).  The tan-half-angle
+  parameterization makes the eta = 0 and eta = +-inf limits exact.  A
+  separate numeric route solves the two-component bound-state equations, a
+  2x2 linear system, and recovers the drift speed and chemical potential
+  from finite differences of E(p), serving as an oracle for the closed
+  forms.
 """
 
 from __future__ import annotations
@@ -72,16 +73,15 @@ class Lambda3D:
 
 @dataclass(frozen=True)
 class EtaWall:
-    """Domain-wall extension parameter eta0 = tan(phi/2) with the fermion's m and c.
+    """Domain-wall extension parameter eta0 = tan(phi/2), in units m = c = 1.
 
-    eta0 may be +-inf (the limits are handled exactly).  There is no vector
-    part: the 3-vector the (4+1)-d wall also admits breaks rotation
-    invariance along the wall, and no dispersion here uses it.
+    The mode disperses as E = sin(phi) - cos(phi) p.  eta0 may be +-inf
+    (the limits are handled exactly).  There is no vector part: the
+    3-vector the (4+1)-d wall also admits breaks rotation invariance along
+    the wall, and no dispersion here uses it.
     """
 
     eta0: float
-    m: float = 1.0
-    c: float = 1.0
 
     def __post_init__(self):
         try:
@@ -91,10 +91,6 @@ class EtaWall:
         if math.isnan(eta0):
             raise InvalidArgumentError("eta0 must not be NaN")
         object.__setattr__(self, "eta0", eta0)
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise InvalidArgumentError(f"mass must be positive and finite, got {self.m}")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise InvalidArgumentError(f"light speed must be positive and finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -158,20 +154,20 @@ def sample_lambda_3d(rng: np.random.Generator, normal) -> np.ndarray:
     return 1j * pauli_dot(np.asarray(normal, dtype=float)) @ H
 
 
-def normal_current_3d(wall: Lambda3D, upper, c: float = 1.0) -> float:
+def normal_current_3d(wall: Lambda3D, upper) -> float:
     """Normal vector current at the wall for an upper 2-spinor; zero when accepted.
 
     The full spinor is (upper, lam upper), and the current contraction
-    reduces to c upper^dagger [(n.sigma) lam + lam^dagger (n.sigma)] upper.
+    reduces to upper^dagger [(n.sigma) lam + lam^dagger (n.sigma)] upper (c = 1).
     """
     upper = np.asarray(upper, dtype=complex)
     ns = pauli_dot(wall.normal)
     op = ns @ wall.lam + wall.lam.conj().T @ ns
-    return float(np.real(upper.conj() @ op @ upper) * c)
+    return float(np.real(upper.conj() @ op @ upper))
 
 
-def axial_current_3d(wall: Lambda3D, upper, c: float = 1.0) -> float:
-    """Normal axial current at the wall, -c upper^dagger [n.sigma + lam^dagger n.sigma lam] upper.
+def axial_current_3d(wall: Lambda3D, upper) -> float:
+    """Normal axial current at the wall, -upper^dagger [n.sigma + lam^dagger n.sigma lam] upper (c = 1).
 
     Generically nonzero for accepted walls: the reflecting wall breaks
     chiral symmetry no matter how the extension is chosen.
@@ -179,7 +175,7 @@ def axial_current_3d(wall: Lambda3D, upper, c: float = 1.0) -> float:
     upper = np.asarray(upper, dtype=complex)
     ns = pauli_dot(wall.normal)
     op = ns + wall.lam.conj().T @ ns @ wall.lam
-    return float(-np.real(upper.conj() @ op @ upper) * c)
+    return float(-np.real(upper.conj() @ op @ upper))
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +207,9 @@ def _mixing_parts(eta: float):
 def dispersion_2p1(wall: EtaWall, p: float) -> DispersionPoint:
     """Dispersion of the (2+1)-d domain-wall mode at signed momentum p.
 
-    E = sin(phi) m c^2 - cos(phi) p c with decay rate
-    cos(phi) m c + sin(phi) p, where eta0 = tan(phi/2).  At eta0 = 0 this is
-    the massless left-mover E = -p c, bound for every momentum.
+    E = sin(phi) - cos(phi) p with decay rate cos(phi) + sin(phi) p (units
+    m = c = 1), where eta0 = tan(phi/2).  At eta0 = 0 this is the massless
+    left-mover E = -p, bound for every momentum.
 
     Example:
         >>> pt = dispersion_2p1(EtaWall(0.0), 0.7)
@@ -223,30 +219,29 @@ def dispersion_2p1(wall: EtaWall, p: float) -> DispersionPoint:
     if not math.isfinite(p):
         raise InvalidArgumentError(f"momentum must be finite, got {p}")
     sin_phi, cos_phi = _mixing_parts(wall.eta0)
-    m, c = wall.m, wall.c
-    energy = sin_phi * m * c * c - cos_phi * p * c
-    decay = cos_phi * m * c + sin_phi * p
+    energy = sin_phi - cos_phi * p
+    decay = cos_phi + sin_phi * p
     return DispersionPoint(
         p=p,
         energy=energy,
         decay_rate=decay,
-        speed=abs(cos_phi) * c,
-        chemical_potential=sin_phi * m * c * c,
+        speed=abs(cos_phi),
+        chemical_potential=sin_phi,
         normalizable=decay > 0.0,
     )
 
 
-def _solve_wall_state(eta: float, m: float, c: float, p: float):
-    """(E, decay rate) of the bound two-component wall state by a linear solve.
+def _solve_wall_state(eta: float, p: float):
+    """(E, decay rate k) of the bound two-component wall state by a linear solve.
 
     The exponentially decaying transverse profile turns the wave equation
     into two scalar conditions on the amplitude pair; the wall condition
     fixes the amplitude ratio to eta (or the pure upper amplitude at
     eta = +-inf).  With the amplitudes fixed the conditions are linear in
-    E and kc = c * decay,
+    E and k (units m = c = 1),
 
-        a_up E + a_lo kc = p c a_up + m c^2 a_lo
-        a_lo E - a_up kc = m c^2 a_up - p c a_lo,
+        a_up E + a_lo k = p a_up + a_lo
+        a_lo E - a_up k = a_up - p a_lo,
 
     with determinant -(a_up^2 + a_lo^2), never zero.
     """
@@ -256,11 +251,10 @@ def _solve_wall_state(eta: float, m: float, c: float, p: float):
         a_up, a_lo = 1.0, 1.0 / eta
     else:
         a_up, a_lo = eta, 1.0
-    mc2, pc = m * c * c, p * c
     lhs = np.array([[a_up, a_lo], [a_lo, -a_up]])
-    rhs = np.array([pc * a_up + mc2 * a_lo, mc2 * a_up - pc * a_lo])
-    E, kc = np.linalg.solve(lhs, rhs)
-    return float(E), float(kc / c)
+    rhs = np.array([p * a_up + a_lo, a_up - p * a_lo])
+    E, k = np.linalg.solve(lhs, rhs)
+    return float(E), float(k)
 
 
 def numeric_oracle(wall: EtaWall, p: float) -> DispersionPoint:
@@ -274,12 +268,12 @@ def numeric_oracle(wall: EtaWall, p: float) -> DispersionPoint:
     """
     if not math.isfinite(p):
         raise InvalidArgumentError(f"momentum must be finite, got {p}")
-    eta, m, c = wall.eta0, wall.m, wall.c
-    energy, decay = _solve_wall_state(eta, m, c, p)
+    eta = wall.eta0
+    energy, decay = _solve_wall_state(eta, p)
     dp = max(1.0, abs(p)) * 0.25
 
     def energy_at(q: float) -> float:
-        return _solve_wall_state(eta, m, c, q)[0]
+        return _solve_wall_state(eta, q)[0]
 
     slope_h = (energy_at(p + dp) - energy_at(p - dp)) / (2.0 * dp)
     slope_2h = (energy_at(p + 2.0 * dp) - energy_at(p - 2.0 * dp)) / (4.0 * dp)

@@ -181,7 +181,9 @@ def current_mismatch(state_left: InterfaceState, state_right: InterfaceState) ->
 
 def _as_float(value) -> float:
     """float(value), reading an integer beyond the double range as +-inf,
-    as JSON reads 1e400."""
+    as JSON reads 1e400.  A JSON true or false is not a number: TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     try:
         return float(value)
     except OverflowError:
@@ -216,7 +218,7 @@ def parse_interface_file(path) -> np.ndarray:
         raise GridIOError(f"junction file {path}: 'entries' must list 4 [re, im] pairs") from None
     g = np.array(flat, dtype=complex).reshape(2, 2)
     theta = data.get("theta", 0.0)
-    if not isinstance(theta, (int, float)) or not math.isfinite(_as_float(theta)):
+    if type(theta) not in (int, float) or not math.isfinite(_as_float(theta)):  # bool is not a number
         raise GridIOError(f"junction file {path}: 'theta' must be a finite number")
     # the phase changes neither the verdict nor the residuals out of range
     if theta and _in_range(g):

@@ -23,10 +23,11 @@ With these choices a constant state on any shape gives <n.x> = d and
 is exact, and the gradient form G = <p^2> - <gamma> is nonnegative, making
 the general uncertainty slack safely nonnegative for every eigenstate.
 
-Each input has one form: a potential is one value per cell, the dimension
-of an uncertainty report is that of its moments, and a Gaussian packet is
-its width alpha, center and complex wave vector beta (one number or d),
-from which ``minimal_packet_gamma`` builds the wall the packet saturates.
+The dot is free inside its walls: no potential, so gamma alone moves its
+levels.  Each input has one form: the dimension of an uncertainty report is
+that of its moments, and a Gaussian packet is its width alpha, center and
+complex wave vector beta (one number or d), from which
+``minimal_packet_gamma`` builds the wall the packet saturates.
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ class DiscreteHamiltonian:
 
     matrix: sp.csr_matrix
     m: float
-    V: np.ndarray
     grid: DomainGrid
     gamma: float | np.ndarray
 
@@ -382,33 +382,29 @@ def _face_term(grid: DomainGrid, gamma) -> tuple[np.ndarray, np.ndarray]:
     return vals, np.where(wall, 0.0, 1.0)
 
 
-def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHamiltonian:
+def build_hamiltonian(grid: DomainGrid, gamma, m: float) -> DiscreteHamiltonian:
     """Assemble the sparse symmetric Hamiltonian for the dot.
 
     ``gamma`` is a number or one per boundary face (grid face order), +-inf
-    the Dirichlet wall.  ``V`` is None (no potential) or one value per cell
-    (grid cell order), e.g. ``V(grid.cell_centers)`` for a function V.
+    the Dirichlet wall.
     """
     faces = _face_term(grid, gamma)
     if not (math.isfinite(m) and m > 0):
         raise InvalidArgumentError(f"mass must be positive and finite, got {m}")
     n = grid.n_cells
     h = grid.h
-    V_arr = np.zeros(n) if V is None else np.asarray(V, dtype=float)
-    if V_arr.shape != (n,):
-        raise InvalidArgumentError(f"potential must have one value per cell ({n}), got {V_arr.shape}")
 
-    # every row's Gershgorin sum |H_ii| + sum_j |H_ij| is at most |V_i| plus,
-    # per cell face, 2t for a link or |gamma_f| h t for a boundary face; the
+    # every row's Gershgorin sum |H_ii| + sum_j |H_ij| is at most, per cell
+    # face, 2t for a link or |gamma_f| h t for a boundary face; the
     # eigensolvers square numbers of that size (bisection pivots, residual
     # norms), so its square must stay a double
     kinetic = 2.0 * (m * h * h)
     t = 1.0 / kinetic if kinetic > 0 else math.inf
     face = float(np.abs(faces[0]).max(initial=0.0)) * h * t
-    reach = float(np.abs(V_arr).max()) + 2 * grid.d * max(2.0 * t, face)
+    reach = 2 * grid.d * max(2.0 * t, face)
     if not math.isfinite(reach * reach):
         raise InvalidArgumentError(f"mass {m} and spacing {h} give a Hamiltonian beyond the double range")
-    diag = V_arr.copy()
+    diag = np.zeros(n)
     i = grid.links[:, 0]
     j = grid.links[:, 1]
     np.add.at(diag, i, t)
@@ -419,7 +415,7 @@ def build_hamiltonian(grid: DomainGrid, gamma, m: float, V=None) -> DiscreteHami
     cols = np.concatenate([np.arange(n), j, i])
     vals = np.concatenate([diag, np.full(len(i), -t), np.full(len(j), -t)])
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    ham = DiscreteHamiltonian(matrix, float(m), V_arr, grid, gamma)
+    ham = DiscreteHamiltonian(matrix, float(m), grid, gamma)
     ham.__dict__["_faces"] = faces  # fills the cached property: gamma is resolved once
     return ham
 
@@ -485,7 +481,10 @@ def _orthonormal(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _lobpcg(B: sp.csr_matrix, X: np.ndarray, solve, maxiter: int = 100) -> np.ndarray:
+_LOBPCG_STEPS = 100  # the most block LOBPCG steps ``_nearby_levels`` takes per part
+
+
+def _lobpcg(B: sp.csr_matrix, X: np.ndarray, solve) -> np.ndarray:
     """The k lowest eigenvectors of symmetric ``B`` from the k orthonormal columns of ``X``.
 
     Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001)): each step takes
@@ -494,7 +493,7 @@ def _lobpcg(B: sp.csr_matrix, X: np.ndarray, solve, maxiter: int = 100) -> np.nd
     span already holds: the residuals of a separable rectangle's levels are
     linearly dependent, which stops scipy's ``lobpcg`` at its first
     Cholesky factorization.  Runs until every residual norm is within half
-    the bound ``solve_lowest`` checks, or for ``maxiter`` steps.  A shift
+    the bound ``solve_lowest`` checks, or for ``_LOBPCG_STEPS`` steps.  A shift
     far below the lowest level, under a strongly binding wall, takes 25
     steps on the 51k-cell disk at gamma = -3.
     """
@@ -503,7 +502,7 @@ def _lobpcg(B: sp.csr_matrix, X: np.ndarray, solve, maxiter: int = 100) -> np.nd
     w, Y = np.linalg.eigh(X.T @ BX)
     X, BX = X @ Y, BX @ Y
     P = np.empty((len(X), 0))
-    for _ in range(maxiter):
+    for _ in range(_LOBPCG_STEPS):
         R = BX - X * w
         if np.all(np.einsum("ik,ik->k", R, R) <= (0.5 * _residual_bound(w)) ** 2):
             break
@@ -520,8 +519,8 @@ def _residual_bound(w: np.ndarray) -> np.ndarray:
     return 1e-8 * np.maximum(1.0, np.abs(w))
 
 
-def _form_sums(grid: DomainGrid, gammas: np.ndarray, V, x: np.ndarray) -> np.ndarray:
-    """Rows sum_links |x_i - x_j|^2, sum_faces gamma_f |x_f|^2, sum V |x|^2, sum |x|^2 per column of x.
+def _form_sums(grid: DomainGrid, gammas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows sum_links |x_i - x_j|^2, sum_faces gamma_f |x_f|^2, sum |x|^2 per column of x.
 
     Differences, not x^T A x, whose hoppings cancel diagonal entries of
     2d/(2 m h^2) to an absolute eps ||A||: eps n^2 relative on the lowest
@@ -530,26 +529,26 @@ def _form_sums(grid: DomainGrid, gammas: np.ndarray, V, x: np.ndarray) -> np.nda
     contiguous axis.
     """
     i, j, cells = grid.links[:, 0], grid.links[:, 1], grid.boundary_faces[:, 0]
-    sums = np.empty((4, x.shape[1]))
+    sums = np.empty((3, x.shape[1]))
     for k, col in enumerate(x.T):
         col = np.ascontiguousarray(col)
         rho = np.abs(col) ** 2
-        sums[:, k] = np.sum(np.abs(col[i] - col[j]) ** 2), np.sum(gammas * rho[cells]), np.sum(V * rho), np.sum(rho)
+        sums[:, k] = np.sum(np.abs(col[i] - col[j]) ** 2), np.sum(gammas * rho[cells]), np.sum(rho)
     return sums
 
 
-def _form_levels(grid: DomainGrid, m: float, gammas: np.ndarray, V, x: np.ndarray) -> np.ndarray:
-    """(link/(2 m h^2) + face/(2 m h) + potential)/norm of each column of x, from ``_form_sums``."""
-    link, face, potential, norm = _form_sums(grid, gammas, V, x)
-    return (link / (2.0 * (m * grid.h * grid.h)) + face / (2.0 * (m * grid.h)) + potential) / norm
+def _form_levels(grid: DomainGrid, m: float, gammas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(link/(2 m h^2) + face/(2 m h))/norm of each column of x, from ``_form_sums``."""
+    link, face, norm = _form_sums(grid, gammas, x)
+    return (link / (2.0 * (m * grid.h * grid.h)) + face / (2.0 * (m * grid.h))) / norm
 
 
 def _checked_levels(ham: DiscreteHamiltonian, x: np.ndarray, where: str = "") -> np.ndarray:
-    """E_k = ``_form_levels`` of column x_k on the Hamiltonian's wall: mean_p2/2m + <V> of ``moments``.
+    """E_k = ``_form_levels`` of column x_k on the Hamiltonian's wall: mean_p2/2m of ``moments``.
 
     Raises SolverFailureError unless every ||A x_k - E_k x_k|| is within ``_residual_bound``.
     """
-    w = _form_levels(ham.grid, ham.m, ham._faces[0], ham.V, x)
+    w = _form_levels(ham.grid, ham.m, ham._faces[0], x)
     resid = np.linalg.norm(ham.matrix @ x - x * w, axis=0)
     for kcol, (r, tol) in enumerate(zip(resid, _residual_bound(w))):
         if not r <= tol:
@@ -629,14 +628,14 @@ def moments(grid: DomainGrid, gamma, psi: np.ndarray) -> Moments:
     ``gamma`` is as in ``build_hamiltonian``; ``psi`` may be real or complex,
     renormalized to sum h^d |psi|^2 = 1 before anything is measured.
     ``mean_p2`` and ``mean_gamma`` come from the sums that give
-    ``solve_lowest`` its levels, so mean_p2/2m + <V> is a state's level.
+    ``solve_lowest`` its levels, so mean_p2/2m is a state's level.
     """
     psi = np.asarray(psi)
     if psi.shape != (grid.n_cells,):
         raise InvalidArgumentError(f"state must have one value per cell ({grid.n_cells})")
     h = grid.h
     hd = h**grid.d
-    link, face, _, norm = _form_sums(grid, _face_term(grid, gamma)[0], 0.0, psi[:, np.newaxis])[:, 0]
+    link, face, norm = _form_sums(grid, _face_term(grid, gamma)[0], psi[:, np.newaxis])[:, 0]
     norm2 = hd * norm
     if norm2 <= 0 or not math.isfinite(norm2):
         raise InvalidArgumentError("state has zero or non-finite norm")
@@ -711,7 +710,7 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     bound of a solved neighbor (degenerate); the top level unless ``w`` is
     the whole spectrum (its neighbor above is unknown); and a level the step
     cannot resolve.  A level rounds to about r = eps (|link|/(2 m h^2) +
-    |face|/(2 m h) + |V|)/norm, its ``_form_levels`` in magnitude, so lhs is
+    |face|/(2 m h))/norm, its ``_form_levels`` in magnitude, so lhs is
     off by up to 2r/(2 delta) from its true 2 delta rhs/(2 delta); printing
     it only where 2 delta rhs >= 2^21 r bounds that error by 2 rhs/2^21 <
     1e-6 rhs.  A +-inf wall (dg = 0) keeps no level; with none kept, nothing
@@ -721,7 +720,7 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     if np.ndim(gamma):
         raise InvalidArgumentError("spectral flow needs a uniform gamma")
     g, dg = ham._faces
-    rounding = np.finfo(float).eps * _form_levels(grid, m, np.abs(g), np.abs(ham.V), v)
+    rounding = np.finfo(float).eps * _form_levels(grid, m, np.abs(g), v)
     rhs = h ** (grid.d - 1) * np.sum(dg[:, np.newaxis] * v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
     gap = np.abs(np.diff(w))
     nearest = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
@@ -729,7 +728,7 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     keep[-1] &= len(w) == grid.n_cells
     if not keep.any():
         return [None] * len(w)
-    nearby = (build_hamiltonian(grid, gamma + step, m, ham.V) for step in (_FLOW_STEP, -_FLOW_STEP))
+    nearby = (build_hamiltonian(grid, gamma + step, m) for step in (_FLOW_STEP, -_FLOW_STEP))
     if grid.d == 1:
         w_up, w_down = (solve_lowest(near, len(w))[0] for near in nearby)
     else:

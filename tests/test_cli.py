@@ -445,6 +445,22 @@ def test_hetero_out_of_range_numbers(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "accepted"
 
 
+def test_hetero_json_bool_is_not_a_number(tmp_path, capsys):
+    # JSON true and false are not 1 and 0: neither a theta nor an entry
+    path = tmp_path / "m.json"
+    identity = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    for theta in (True, False):
+        write_matrix(path, identity, theta)
+        rc, out, err = run_cli(["hetero", "--matrix", str(path)], capsys)
+        assert (rc, out) == (3, "")
+        assert err == f"error: junction file {path}: 'theta' must be a finite number\n"
+    for entries in ([[True, 0], [0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, False], [1, 0]]):
+        write_matrix(path, entries)
+        rc, out, err = run_cli(["hetero", "--matrix", str(path)], capsys)
+        assert (rc, out) == (3, "")
+        assert err == f"error: junction file {path}: 'entries' must list 4 [re, im] pairs\n"
+
+
 # ---------------------------------------------------------------------------
 # dirac
 

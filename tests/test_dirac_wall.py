@@ -101,16 +101,13 @@ def test_lambda_3d_random_family():
 
 def test_dispersion_massless_point():
     wall = dw.EtaWall(0.0)
-    for p in [-1.0, 0.0, 0.7, 3.0]:
+    for p in [-1.0, 0.0, 0.4, 0.7, 3.0]:
         pt = dw.dispersion_2p1(wall, p)
         assert pt.energy == -p
         assert pt.decay_rate == 1.0
         assert pt.speed == 1.0
         assert pt.chemical_potential == 0.0
         assert pt.normalizable
-    pt = dw.dispersion_2p1(dw.EtaWall(0.0, m=2.5, c=3.0), 0.4)
-    assert pt.energy == -0.4 * 3.0
-    assert pt.decay_rate == 2.5 * 3.0
 
 
 def test_dispersion_unit_eta_point():
@@ -124,25 +121,24 @@ def test_dispersion_unit_eta_point():
 
 def test_dispersion_infinite_eta():
     for eta in [math.inf, -math.inf]:
-        wall = dw.EtaWall(eta, m=1.7, c=2.0)
+        wall = dw.EtaWall(eta)
         for p in [-2.0, 0.0, 1.5]:
             pt = dw.dispersion_2p1(wall, p)
-            assert pt.energy == p * 2.0
-            assert pt.speed == 2.0
+            assert pt.energy == p
+            assert pt.speed == 1.0
             assert pt.chemical_potential == 0.0
-            assert pt.decay_rate == -1.7 * 2.0
+            assert pt.decay_rate == -1.0
             assert not pt.normalizable
 
 
 def test_threshold_eta_two():
-    for m, c in [(1.0, 1.0), (2.0, 3.0)]:
-        wall = dw.EtaWall(2.0, m=m, c=c)
-        k0 = dw.dispersion_2p1(wall, 0.0).decay_rate
-        k1 = dw.dispersion_2p1(wall, 1.0).decay_rate
-        p_star = -k0 / (k1 - k0)
-        assert p_star == pytest.approx(0.75 * m * c, rel=1e-12)
-        assert not dw.dispersion_2p1(wall, 0.74 * m * c).normalizable
-        assert dw.dispersion_2p1(wall, 0.76 * m * c).normalizable
+    wall = dw.EtaWall(2.0)
+    k0 = dw.dispersion_2p1(wall, 0.0).decay_rate
+    k1 = dw.dispersion_2p1(wall, 1.0).decay_rate
+    p_star = -k0 / (k1 - k0)
+    assert p_star == pytest.approx(0.75, rel=1e-12)
+    assert not dw.dispersion_2p1(wall, 0.74).normalizable
+    assert dw.dispersion_2p1(wall, 0.76).normalizable
     pt = dw.dispersion_2p1(dw.EtaWall(2.0), 1.0)
     assert pt.energy == pytest.approx(1.4, rel=1e-14)
 
@@ -165,10 +161,9 @@ def test_closed_form_matches_oracle_everywhere():
     for mag in [0.1, 0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0, 10.0, 1e4]:
         etas.extend([mag, -mag])
     momenta = [-2.3, -0.7, 0.0, 0.41, 1.9]
-    wall_kwargs = {"m": 1.3, "c": 0.9}
     samples = 0
     for eta in etas:
-        wall = dw.EtaWall(eta, **wall_kwargs)
+        wall = dw.EtaWall(eta)
         for p in momenta:
             closed = dw.dispersion_2p1(wall, p)
             ref = dw.numeric_oracle(wall, p)
@@ -187,39 +182,36 @@ def test_closed_form_matches_oracle_everywhere():
 
 
 def test_oracle_solve_matches_40_digit_closed_form():
-    # the oracle's (E, c * decay) against E = sin(phi) m c^2 - cos(phi) p c
-    # and cos(phi) m c^2 + sin(phi) p c at 40 digits, scaled by m c^2 + |p| c
+    # the oracle's (E, decay) against E = sin(phi) - cos(phi) p and
+    # cos(phi) + sin(phi) p at 40 digits, scaled by 1 + |p| (m = c = 1)
     rng = np.random.default_rng(7)
     worst = 0.0
     with mpmath.workdps(40):
         for _ in range(3000):
             eta = math.tan(rng.uniform(-math.pi / 2, math.pi / 2))
-            m, c = 10.0 ** rng.uniform(-2, 2, size=2)
             p = rng.uniform(-10.0, 10.0)
-            pt = dw.numeric_oracle(dw.EtaWall(eta, m=m, c=c), p)
-            e, m_, c_, p_ = (mpmath.mpf(v) for v in (eta, m, c, p))
+            pt = dw.numeric_oracle(dw.EtaWall(eta), p)
+            e, p_ = mpmath.mpf(eta), mpmath.mpf(p)
             sin_phi, cos_phi = 2 * e / (1 + e * e), (1 - e * e) / (1 + e * e)
-            mc2, pc = m_ * c_ * c_, p_ * c_
             err = max(
-                abs(pt.energy - (sin_phi * mc2 - cos_phi * pc)),
-                abs(pt.decay_rate * c_ - (cos_phi * mc2 + sin_phi * pc)),
+                abs(pt.energy - (sin_phi - cos_phi * p_)),
+                abs(pt.decay_rate - (cos_phi + sin_phi * p_)),
             )
-            worst = max(worst, float(err / (mc2 + abs(pc))))
+            worst = max(worst, float(err / (1 + abs(p_))))
     assert worst <= 1e-15
 
 
 def test_speed_never_exceeds_c():
-    c = 2.0
     etas = [0.0, 1e-8, -1e-8, 0.5, -1.0, 1.0, 3.7, -42.0, 1e6, -1e6, 1e300, math.inf, -math.inf]
     for eta in etas:
-        pt = dw.dispersion_2p1(dw.EtaWall(eta, c=c), 0.3)
-        assert pt.speed <= c
+        pt = dw.dispersion_2p1(dw.EtaWall(eta), 0.3)
+        assert pt.speed <= 1.0
     # light speed is reached only in the massless limits on a moderate grid
     for eta in [1e-6, 0.1, 0.9, 1.0, 1.1, 10.0, 1e6]:
         for signed in (eta, -eta):
-            assert dw.dispersion_2p1(dw.EtaWall(signed, c=c), 0.3).speed < c
+            assert dw.dispersion_2p1(dw.EtaWall(signed), 0.3).speed < 1.0
     for eta in [0.0, math.inf, -math.inf]:
-        assert dw.dispersion_2p1(dw.EtaWall(eta, c=c), 0.3).speed == c
+        assert dw.dispersion_2p1(dw.EtaWall(eta), 0.3).speed == 1.0
 
 
 def test_reciprocal_eta_symmetry():
@@ -239,10 +231,6 @@ def test_reciprocal_eta_symmetry():
 def test_eta_wall_validation():
     with pytest.raises(InvalidArgumentError):
         dw.EtaWall(math.nan)
-    with pytest.raises(InvalidArgumentError):
-        dw.EtaWall(1.0, m=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        dw.EtaWall(1.0, c=0.0)
 
 
 def test_dispersion_argument_errors():
@@ -251,3 +239,66 @@ def test_dispersion_argument_errors():
         dw.dispersion_2p1(wall, math.inf)
     with pytest.raises(InvalidArgumentError):
         dw.numeric_oracle(wall, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# units m = c = 1
+
+
+def _with_units(eta, p, m, c):
+    """dispersion_2p1 and numeric_oracle as they read with the fermion's m and c."""
+    sin_phi, cos_phi = dw._mixing_parts(eta)
+    closed = (
+        sin_phi * m * c * c - cos_phi * p * c,
+        cos_phi * m * c + sin_phi * p,
+        abs(cos_phi) * c,
+        sin_phi * m * c * c,
+    )
+
+    def solve(q):
+        if math.isinf(eta):
+            a_up, a_lo = 1.0, 0.0
+        elif abs(eta) > 1.0:
+            a_up, a_lo = 1.0, 1.0 / eta
+        else:
+            a_up, a_lo = eta, 1.0
+        mc2, qc = m * c * c, q * c
+        lhs = np.array([[a_up, a_lo], [a_lo, -a_up]])
+        E, kc = np.linalg.solve(lhs, np.array([qc * a_up + mc2 * a_lo, mc2 * a_up - qc * a_lo]))
+        return float(E), float(kc / c)
+
+    dp = max(1.0, abs(p)) * 0.25
+    slope_h = (solve(p + dp)[0] - solve(p - dp)[0]) / (2.0 * dp)
+    slope_2h = (solve(p + 2.0 * dp)[0] - solve(p - 2.0 * dp)[0]) / (4.0 * dp)
+    oracle = (*solve(p), abs((4.0 * slope_h - slope_2h) / 3.0), solve(0.0)[0])
+    return closed, oracle
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_unit_formulas_are_bit_equal_to_the_m_c_forms_at_one():
+    # dropping the factors m = c = 1.0 changes no bit of any field
+    rng = np.random.default_rng(29)
+    etas = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, math.inf, -math.inf, 1e300]
+    etas += list(np.tan(rng.uniform(-math.pi / 2, math.pi / 2, 200)))
+    etas += list(rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(-300, 300, 100))
+    for eta in etas:
+        wall = dw.EtaWall(eta)
+        for p in (-7.5, -1.0, -0.0, 0.0, 0.3, 1.0, 123.25):
+            closed, oracle = _with_units(float(eta), p, 1.0, 1.0)
+            for point, ref in ((dw.dispersion_2p1(wall, p), closed), (dw.numeric_oracle(wall, p), oracle)):
+                got = (point.energy, point.decay_rate, point.speed, point.chemical_potential)
+                assert _bits(got) == _bits(ref), (eta, p)
+                assert point.normalizable == (ref[1] > 0.0)
+    for _ in range(200):
+        normal = _random_unit_normal(rng)
+        wall = dw.validate_lambda_3d(dw.sample_lambda_3d(rng, normal), normal)
+        upper = _random_spinor(rng)
+        ns = dw.pauli_dot(wall.normal)
+        vector = ns @ wall.lam + wall.lam.conj().T @ ns
+        axial = ns + wall.lam.conj().T @ ns @ wall.lam
+        c = 1.0
+        assert dw.normal_current_3d(wall, upper).hex() == float(np.real(upper.conj() @ vector @ upper) * c).hex()
+        assert dw.axial_current_3d(wall, upper).hex() == float(-np.real(upper.conj() @ axial @ upper) * c).hex()
