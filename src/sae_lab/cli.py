@@ -211,8 +211,14 @@ def cmd_spectrum(params: dict):
     scale = 1.0 if raw else 2.0 * (m * L * L) / math.pi**2
     x, gamma = _arctan_samples(params, "gamma", L / 2.0)
     energies = box1d._levels(m, L, gamma, _SPECTRUM_LEVELS)[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = list(energies.T * scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product exits 2 below
+        energies = energies * scale
+    if not np.isfinite(energies).all():
+        i, n = np.argwhere(~np.isfinite(energies))[0]
+        raise InvalidArgumentError(
+            f"level {n} at gamma={gamma[i]} has a scaled energy beyond double precision; try --raw-units"
+        )
+    energies = list(energies.T)
     header = ["gamma" if raw else "arctan_half_gamma_L"]
     header += [f"e{n}" for n in range(_SPECTRUM_LEVELS)]
     doc = {
@@ -381,7 +387,7 @@ def cmd_hetero(params: dict):
 
 def cmd_dirac(params: dict):
     eta = _arctan_samples(params, "eta", 1.0)[1]
-    sin_phi, cos_phi = np.array([dirac_wall._mixing_parts(e) for e in eta.tolist()]).T
+    sin_phi, cos_phi = dirac_wall._mixing_parts(eta)
     # with p in units of m c, E/(m c^2) = sin(phi) - cos(phi) p, and the
     # decay rate/(m c) = cos(phi) + sin(phi) p changes sign at p = -cos/sin
     with np.errstate(divide="ignore", over="ignore"):

@@ -182,26 +182,26 @@ def axial_current_3d(wall: Lambda3D, upper) -> float:
 # domain-wall dispersion
 
 
-def _mixing_parts(eta: float):
+def _mixing_parts(eta):
     """(sin phi, cos phi) for eta = tan(phi/2), exact at 0, +-1 and +-inf.
 
-    cos phi = (1 - eta^2)/(1 + eta^2) takes its numerator as
-    (1 - eta)(1 + eta), which does not cancel near |eta| = 1.  For |eta| > 1
-    sin phi is formed from r = 1/eta, and so is cos phi for |eta| > 2, where
+    eta is a number or an array, and each element gets the rule below with
+    one rounding per operation, the bits it gets alone.  cos phi =
+    (1 - eta^2)/(1 + eta^2) takes its numerator as (1 - eta)(1 + eta), which
+    does not cancel near |eta| = 1.  For |eta| > 1 sin phi is formed from
+    r = 1/eta (+0 at eta = +-inf), and so is cos phi for |eta| > 2, where
     eta^2 could overflow; so the eta -> 1/eta reflection (same sin, opposite
-    cos) holds bit-exactly there.  For 1 < |eta| <= 2, cos phi is formed
-    from eta itself, since rounding r near 1 would cost ~12 ulp; there the
+    cos) holds bit-exactly there.  For 1 < |eta| <= 2, cos phi is formed from
+    eta itself, since rounding r near 1 would cost ~12 ulp; there the
     reflection holds to a few ulp, and bit-exactly for sin phi.
     """
-    if math.isinf(eta):
-        return 0.0, -1.0
-    if abs(eta) <= 1.0:
-        return 2.0 * eta / (1.0 + eta * eta), (1.0 - eta) * (1.0 + eta) / (1.0 + eta * eta)
-    r = 1.0 / eta
-    sin_phi = 2.0 * r / (1.0 + r * r)
-    if abs(eta) > 2.0:
-        return sin_phi, -(1.0 - r) * (1.0 + r) / (1.0 + r * r)
-    return sin_phi, -(eta - 1.0) * (eta + 1.0) / (1.0 + eta * eta)
+    eta = np.asarray(eta, dtype=float)
+    outer = np.abs(eta) > 1.0
+    r = np.divide(1.0, eta, out=np.where(np.isinf(eta), 0.0, eta), where=outer & np.isfinite(eta))
+    cos_r = (1.0 - r) * (1.0 + r) / (1.0 + r * r)
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1 < |eta| <= 2 form, kept only there
+        near = -(eta - 1.0) * (eta + 1.0) / (1.0 + eta * eta)
+    return 2.0 * r / (1.0 + r * r), np.select([~outer, np.abs(eta) > 2.0], [cos_r, -cos_r], near)
 
 
 def dispersion_2p1(wall: EtaWall, p: float) -> DispersionPoint:
@@ -218,7 +218,7 @@ def dispersion_2p1(wall: EtaWall, p: float) -> DispersionPoint:
     """
     if not math.isfinite(p):
         raise InvalidArgumentError(f"momentum must be finite, got {p}")
-    sin_phi, cos_phi = _mixing_parts(wall.eta0)
+    sin_phi, cos_phi = map(float, _mixing_parts(wall.eta0))
     energy = sin_phi - cos_phi * p
     decay = cos_phi + sin_phi * p
     return DispersionPoint(

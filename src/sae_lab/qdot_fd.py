@@ -157,21 +157,18 @@ class DiscreteHamiltonian:
 
     Immutable after assembly.  The ingredients (``gamma`` as passed in, a
     number or one per face) let the spectral-flow check assemble the
-    Hamiltonian at gamma +- step; its wall ``_faces`` is resolved once.  In
-    d >= 2 the connected parts, each with its shifted LU factor, are built
-    on first use and shared by every solve on this Hamiltonian, so the flow
-    check refactors nothing.
+    Hamiltonian at gamma +- step; ``faces`` is its ``_face_term``, each
+    face's g and dg/dgamma, resolved once at assembly.  In d >= 2 the
+    connected parts, each with its shifted LU factor, are built on first use
+    and shared by every solve on this Hamiltonian, so the flow check
+    refactors nothing.
     """
 
     matrix: sp.csr_matrix
     m: float
     grid: DomainGrid
     gamma: float | np.ndarray
-
-    @functools.cached_property
-    def _faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_face_term`` of this Hamiltonian's gamma: each face's g and dg/dgamma."""
-        return _face_term(self.grid, self.gamma)
+    faces: tuple[np.ndarray, np.ndarray]
 
     @functools.cached_property
     def _parts(self) -> list[_Part]:
@@ -415,9 +412,7 @@ def build_hamiltonian(grid: DomainGrid, gamma, m: float) -> DiscreteHamiltonian:
     cols = np.concatenate([np.arange(n), j, i])
     vals = np.concatenate([diag, np.full(len(i), -t), np.full(len(j), -t)])
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    ham = DiscreteHamiltonian(matrix, float(m), grid, gamma)
-    ham.__dict__["_faces"] = faces  # fills the cached property: gamma is resolved once
-    return ham
+    return DiscreteHamiltonian(matrix, float(m), grid, gamma, faces)
 
 
 def _lowest_pairs(part: _Part, count: int):
@@ -548,7 +543,7 @@ def _checked_levels(ham: DiscreteHamiltonian, x: np.ndarray, where: str = "") ->
 
     Raises SolverFailureError unless every ||A x_k - E_k x_k|| is within ``_residual_bound``.
     """
-    w = _form_levels(ham.grid, ham.m, ham._faces[0], x)
+    w = _form_levels(ham.grid, ham.m, ham.faces[0], x)
     resid = np.linalg.norm(ham.matrix @ x - x * w, axis=0)
     for kcol, (r, tol) in enumerate(zip(resid, _residual_bound(w))):
         if not r <= tol:
@@ -719,7 +714,7 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     gamma, grid, m, h = ham.gamma, ham.grid, ham.m, ham.grid.h
     if np.ndim(gamma):
         raise InvalidArgumentError("spectral flow needs a uniform gamma")
-    g, dg = ham._faces
+    g, dg = ham.faces
     rounding = np.finfo(float).eps * _form_levels(grid, m, np.abs(g), v)
     rhs = h ** (grid.d - 1) * np.sum(dg[:, np.newaxis] * v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
     gap = np.abs(np.diff(w))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sae_lab.cli as cli
-from sae_lab import box1d, qdot_fd
+from sae_lab import box1d, dirac_wall, qdot_fd
 from sae_lab.errors import SolverFailureError
 
 
@@ -763,6 +763,9 @@ def test_missing_subcommand_is_usage_error(capsys):
         (["dot", "--shape", "rect", "--resolution", "3", "--count", "2", "--length", "1e-150",
           "--mass", "1.7976931348623157e308", "--format", "csv"], 0),
         (["spectrum", "--gamma", "1", "--raw-units", "--mass", "1.7e308", "--length", "1e-10"], 0),
+        # the scale 2 m L^2/pi^2, or a scaled energy, overflows; --raw-units prints them
+        (["spectrum", "--mass", "1e308", "--gamma-steps", "9", "--format", "csv"], 2),
+        (["spectrum", "--gamma=-1e150", "--length", "1e10", "--format", "csv"], 2),
         # q = pi/(2 eps) or V0 = q^2/2m overflows
         (["wall", "--epsilons", "1e-320"], 2),
         (["wall", "--mass", "5e-324", "--epsilons", "6.0416529135347695e-59"], 2),
@@ -852,6 +855,13 @@ def _float_flags(**flags):
     return [f"--{name.replace('_', '-')}={value!r}" for name, value in flags.items() if value is not None]
 
 
+def _energy_rows(out, fmt):
+    """The energies of each row of a spectrum table."""
+    if fmt == "csv":
+        return [[float(v) for v in row[1:]] for row in parse_csv(out)[1]]
+    return [[float(e) for e in r["energies"]] for r in json.loads(out)["rows"]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     mass=_WIDE,
@@ -863,6 +873,7 @@ def _float_flags(**flags):
     raw=st.booleans(),
     fmt=st.sampled_from(["csv", "json"]),
 )
+@example(mass=1e308, length=1.0, gamma=None, gamma_min=None, gamma_max=None, steps=9, raw=False, fmt="csv")
 def test_spectrum_argv_ends_in_a_clean_exit(mass, length, gamma, gamma_min, gamma_max, steps, raw, fmt):
     args = ["spectrum", f"--gamma-steps={steps}", "--format", fmt]
     args += _float_flags(mass=mass, length=length, gamma=gamma, gamma_min=gamma_min, gamma_max=gamma_max)
@@ -879,6 +890,14 @@ def test_spectrum_argv_ends_in_a_clean_exit(mass, length, gamma, gamma_min, gamm
         for row_gamma, *energies in rows:
             alone = box1d.solve_spectrum(box1d.BoxSpec(mass, length, row_gamma), 5)
             assert energies == [s.energy for s in alone]
+    else:
+        # every scaled energy is finite and is its raw energy times the scale, bit for bit
+        scale = 2.0 * (mass * length * length) / math.pi**2
+        raw_rc, raw_out = _clean_exit(args + ["--raw-units"])
+        assert raw_rc == 0
+        for scaled, unscaled in zip(_energy_rows(out, fmt), _energy_rows(raw_out, fmt), strict=True):
+            assert all(map(math.isfinite, scaled))
+            assert [e.hex() for e in scaled] == [(e * scale).hex() for e in unscaled]
 
 
 @settings(max_examples=100, deadline=None)
@@ -891,7 +910,19 @@ def test_spectrum_argv_ends_in_a_clean_exit(mass, length, gamma, gamma_min, gamm
 )
 def test_dirac_argv_ends_in_a_clean_exit(eta, eta_min, eta_max, steps, fmt):
     args = ["dirac", f"--eta-steps={steps}", "--format", fmt]
-    _clean_exit(args + _float_flags(eta=eta, eta_min=eta_min, eta_max=eta_max))
+    rc, out = _clean_exit(args + _float_flags(eta=eta, eta_min=eta_min, eta_max=eta_max))
+    if rc == 2:
+        return
+    # the table and the oracle-checked dispersion_2p1 share one closed form
+    if fmt == "csv":
+        header, rows = parse_csv(out)
+        rows = [dict(zip(header, row)) for row in rows]
+    else:
+        rows = json.loads(out)["rows"]
+    for row in rows:
+        point = dirac_wall.dispersion_2p1(dirac_wall.EtaWall(float(row["eta"])), 0.0)
+        assert float(row["speed_over_c"]).hex() == point.speed.hex()
+        assert float(row["chemical_potential_over_mc2"]).hex() == point.chemical_potential.hex()
 
 
 @settings(max_examples=100, deadline=None)

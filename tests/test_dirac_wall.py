@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sae_lab import dirac_wall as dw
 from sae_lab.errors import InvalidArgumentError, NotSelfAdjointError
@@ -226,6 +227,40 @@ def test_reciprocal_eta_symmetry():
         b = dw.dispersion_2p1(dw.EtaWall(1.0 / eta), 0.37)
         assert a.speed == pytest.approx(b.speed, rel=5e-15, abs=1e-15)
         assert a.chemical_potential == pytest.approx(b.chemical_potential, rel=5e-15)
+
+
+def mixing_parts_scalar(eta):
+    """(sin phi, cos phi) of the wall mode, one scalar at a time: the reference
+    an array call of _mixing_parts must match bit for bit."""
+    if math.isinf(eta):
+        return 0.0, -1.0
+    if abs(eta) <= 1.0:
+        return 2.0 * eta / (1.0 + eta * eta), (1.0 - eta) * (1.0 + eta) / (1.0 + eta * eta)
+    r = 1.0 / eta
+    sin_phi = 2.0 * r / (1.0 + r * r)
+    if abs(eta) > 2.0:
+        return sin_phi, -(1.0 - r) * (1.0 + r) / (1.0 + r * r)
+    return sin_phi, -(eta - 1.0) * (eta + 1.0) / (1.0 + eta * eta)
+
+
+# the branch edges and their neighbours, where eta^2 overflows, and the extremes
+_EDGE_ETAS = [
+    e
+    for v in (0.0, 1.0, 2.0, math.inf, 5e-324, 1.35e154, 1e300)
+    for s in (v, -v)
+    for e in (s, math.nextafter(s, math.inf), math.nextafter(s, -math.inf))
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), max_size=64))
+def test_mixing_parts_over_an_array_is_the_scalar_rule(drawn):
+    rng = np.random.default_rng(31)
+    etas = _EDGE_ETAS + drawn + rng.uniform(-3, 3, 500).tolist()
+    etas += (rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-320, 308, 500)).tolist()
+    sin_phi, cos_phi = dw._mixing_parts(np.array(etas))
+    got = [(a.hex(), b.hex()) for a, b in zip(sin_phi.tolist(), cos_phi.tolist())]
+    assert got == [(a.hex(), b.hex()) for a, b in map(mixing_parts_scalar, etas)]
 
 
 def test_eta_wall_validation():
