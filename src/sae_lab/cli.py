@@ -179,8 +179,6 @@ def _arctan_samples(params: dict, name: str, scale: float):
         if math.isnan(single):
             raise InvalidArgumentError(f"{name} must not be NaN")
         return np.array([math.atan(single * scale)]), np.array([single])
-    if scale == 0.0:
-        raise InvalidArgumentError(f"the {name} scale underflows to 0, so no sweep can sample {name}")
     steps = params[f"{name}_steps"]
     if steps < 2:
         article = "an" if name[0] in "aeiou" else "a"
@@ -259,14 +257,12 @@ def _dot_grid(params: dict):
             }
         if shape == "disk":
             return qdot_fd.disk_grid(length, n), {"shape": "disk", "radius": length}
-        if shape == "annulus":
-            inner = 0.5 * length if second is None else second
-            return qdot_fd.annulus_grid(inner, length, n), {
-                "shape": "annulus",
-                "inner_radius": inner,
-                "outer_radius": length,
-            }
-        raise InvalidArgumentError(f"unknown shape {shape!r}")
+        inner = 0.5 * length if second is None else second  # annulus, the last --shape choice
+        return qdot_fd.annulus_grid(inner, length, n), {
+            "shape": "annulus",
+            "inner_radius": inner,
+            "outer_radius": length,
+        }
     except MemoryError:
         raise InvalidArgumentError("the dot grid is too large to allocate") from None
 

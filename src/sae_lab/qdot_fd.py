@@ -551,6 +551,14 @@ def _checked_levels(ham: DiscreteHamiltonian, x: np.ndarray, where: str = "") ->
     return w
 
 
+def _tridiagonal_vectors(A: sp.csr_matrix, count: int) -> np.ndarray:
+    """Unit eigenvectors of the ``count`` lowest levels of the tridiagonal ``A`` (d = 1), ascending."""
+    try:
+        return eigh_tridiagonal(A.diagonal(), A.diagonal(k=1), select="i", select_range=(0, count - 1))[1]
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailureError(f"tridiagonal eigensolver failed: {exc}") from None
+
+
 def solve_lowest(ham: DiscreteHamiltonian, count: int):
     """The ``count`` lowest eigenpairs, vectors normalized to sum h^d psi^2 = 1.
 
@@ -562,16 +570,12 @@ def solve_lowest(ham: DiscreteHamiltonian, count: int):
     energy (``_checked_levels``), not the solver's eigenvalue; levels ascend,
     and every returned pair is residual-checked.
     """
-    A, n = ham.matrix, ham.grid.n_cells
+    A, grid, n = ham.matrix, ham.grid, ham.grid.n_cells
     if not 1 <= count <= n:
         raise InvalidArgumentError(f"count must be in [1, {n}], got {count}")
-    grid = ham.grid
 
     if grid.d == 1:
-        try:
-            _, v = eigh_tridiagonal(A.diagonal(), A.diagonal(k=1), select="i", select_range=(0, count - 1))
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailureError(f"tridiagonal eigensolver failed: {exc}") from None
+        v = _tridiagonal_vectors(A, count)
     else:
         parts = ham._parts
         pairs = [_lowest_pairs(part, min(count, len(part.cells))) for part in parts]
@@ -695,11 +699,12 @@ _FLOW_STEP = 1e-5  # delta, the gamma step of the flow check
 def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     """Compare dE/dgamma of every solved level against the boundary-density formula.
 
-    ``w, v = solve_lowest(ham, count)`` for a uniform gamma.  Returns per
-    level (lhs, rhs) or None: lhs the centered difference of its
-    residual-checked difference-form energy at gamma +- delta (in d = 1 from
-    ``solve_lowest``, in d >= 2 from ``_nearby_levels``), rhs = sum_f
-    h^(d-1) dg_f rho_f / 2m from ``v`` (Hellmann-Feynman, dg from ``_face_term``).
+    ``w, v = solve_lowest(ham, count)``.  Returns per level (lhs, rhs) or
+    None: lhs the centered difference of its residual-checked
+    difference-form energy at gamma +- delta from ``_nearby_levels``, rhs =
+    sum_f h^(d-1) dg_f rho_f / 2m from ``v`` (Hellmann-Feynman, dg from
+    ``_face_term``).  A per-face wall moves every finite face by +-delta and
+    keeps its +-inf faces: the direction in which rhs weighs each face by dg.
 
     This alone decides which levels get None: a level within the residual
     bound of a solved neighbor (degenerate); the top level unless ``w`` is
@@ -709,11 +714,9 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     off by up to 2r/(2 delta) from its true 2 delta rhs/(2 delta); printing
     it only where 2 delta rhs >= 2^21 r bounds that error by 2 rhs/2^21 <
     1e-6 rhs.  A +-inf wall (dg = 0) keeps no level; with none kept, nothing
-    is solved.  A per-face gamma raises.
+    is solved.
     """
-    gamma, grid, m, h = ham.gamma, ham.grid, ham.m, ham.grid.h
-    if np.ndim(gamma):
-        raise InvalidArgumentError("spectral flow needs a uniform gamma")
+    grid, m, h = ham.grid, ham.m, ham.grid.h
     g, dg = ham.faces
     rounding = np.finfo(float).eps * _form_levels(grid, m, np.abs(g), v)
     rhs = h ** (grid.d - 1) * np.sum(dg[:, np.newaxis] * v[grid.boundary_faces[:, 0]] ** 2, axis=0) / m / 2.0
@@ -723,26 +726,27 @@ def spectral_flow_check(ham: DiscreteHamiltonian, w: np.ndarray, v: np.ndarray):
     keep[-1] &= len(w) == grid.n_cells
     if not keep.any():
         return [None] * len(w)
-    nearby = (build_hamiltonian(grid, gamma + step, m) for step in (_FLOW_STEP, -_FLOW_STEP))
-    if grid.d == 1:
-        w_up, w_down = (solve_lowest(near, len(w))[0] for near in nearby)
-    else:
-        w_up, w_down = (_nearby_levels(ham, near, v) for near in nearby)
+    w_up, w_down = (_nearby_levels(ham, step, v) for step in (_FLOW_STEP, -_FLOW_STEP))
     lhs = (w_up - w_down) / (2.0 * _FLOW_STEP)
     return [(float(a), float(b)) if k else None for k, a, b in zip(keep, lhs, rhs)]
 
 
-def _nearby_levels(ham: DiscreteHamiltonian, near: DiscreteHamiltonian, v: np.ndarray) -> np.ndarray:
-    """The levels of ``near``, a small change of ``ham`` (d >= 2), that continue ``v``.
+def _nearby_levels(ham: DiscreteHamiltonian, step: float, v: np.ndarray) -> np.ndarray:
+    """The levels at the raw gamma + ``step`` that continue ``v = solve_lowest(ham, count)[1]``.
 
-    Each column of ``v = solve_lowest(ham, count)[1]`` lives on one
-    connected part, and a part's columns are its k lowest levels.  They
-    start block LOBPCG on the part's block of ``near.matrix``,
-    preconditioned by the part's shared factor, one block solve per step.
-    A part that ``solve_lowest`` solved densely (no more cells than
+    In d = 1 they are ``solve_lowest``'s tridiagonal solve.  In d >= 2 each
+    column of ``v`` lives on one connected part, and a part's columns are its
+    k lowest levels.  They start block LOBPCG on the part's block of the new
+    matrix, preconditioned by the part's shared factor, one block solve per
+    step.  A part that ``solve_lowest`` solved densely (no more cells than
     levels asked for), or of fewer than 5 * k cells, too few for the block
-    iteration, is solved densely again.  Levels are ``_checked_levels``.
+    iteration, is solved densely again.  Levels are ``_checked_levels``,
+    named by gamma + step, or by the step alone on a per-face wall.
     """
+    near = build_hamiltonian(ham.grid, np.add(ham.gamma, step), ham.m)  # +-inf faces stay walls
+    where = f" at gamma {float(near.gamma)!r}" if near.gamma.ndim == 0 else f" at gamma{step:+g} on every finite face"
+    if ham.grid.d == 1:
+        return _checked_levels(near, _tridiagonal_vectors(near.matrix, v.shape[1]), where)
     x = np.zeros_like(v)
     for part in ham._parts:
         cols = np.flatnonzero(np.any(v[part.cells] != 0, axis=0))
@@ -755,7 +759,7 @@ def _nearby_levels(ham: DiscreteHamiltonian, near: DiscreteHamiltonian, v: np.nd
         else:
             start = v[rows]
             x[rows] = _lobpcg(block, start / np.linalg.norm(start, axis=0), part.factor[1].solve)
-    return _checked_levels(near, x, f" at gamma {near.gamma!r}")
+    return _checked_levels(near, x, where)
 
 
 def minimal_packet_gamma(grid: DomainGrid, alpha: float, center, beta=0.0):

@@ -386,6 +386,11 @@ def test_hetero_accepts_and_reports_theta(tmp_path, capsys):
     assert doc["verdict"] == "accepted"
     assert doc["theta"] == pytest.approx(0.4, rel=1e-12)
     assert all(r["residual"] <= 1e-12 for r in doc["residuals"])
+    # -i times the identity has phase -pi/2 exactly, which folds to pi/2
+    write_matrix(path, [[0, -1], [0, 0], [0, 0], [0, -1]])
+    rc, out, _ = run_cli(["hetero", "--matrix", str(path)], capsys)
+    doc = json.loads(out)
+    assert rc == 0 and doc["verdict"] == "accepted" and doc["theta"] == math.pi / 2
 
 
 def test_hetero_rejects_orientation_reversal(tmp_path, capsys):

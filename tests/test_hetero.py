@@ -51,6 +51,10 @@ def test_phase_folds_into_half_open_window():
     assert gm.theta == pytest.approx(-math.pi / 3, abs=1e-14)
     assert -math.pi / 2 < gm.theta <= math.pi / 2
     assert np.allclose(gm.real_factor, [[-1, -0.5], [0, -1]], atol=1e-13)
+    # a phase of exactly -pi/2 lies outside the window: it folds to pi/2
+    gm = validate_interface([[-1j, 0], [0, -1j]])
+    assert gm.theta == math.pi / 2
+    assert np.array_equal(gm.real_factor, -np.eye(2))
 
 
 def test_wrong_determinant_rejected():

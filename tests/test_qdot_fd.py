@@ -12,6 +12,7 @@ identities that hold exactly in the discrete model.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -320,11 +321,11 @@ def test_spectral_flow_degenerate_level_rejected():
     flows = spectral_flow_check(ham, w, v)
     assert flows[0] is not None
     assert flows[1] is None and flows[2] is None
-    # a Dirichlet wall has no wall parameter to vary; a per-face wall is not checked
+    # a Dirichlet wall has no wall parameter to vary; a per-face array of one
+    # value is the uniform wall, flow for flow
     dirichlet = build_hamiltonian(grid, math.inf, 1.0)
     assert spectral_flow_check(dirichlet, *solve_lowest(dirichlet, 4)) == [None] * 4
-    with pytest.raises(InvalidArgumentError, match="uniform gamma"):
-        spectral_flow_check(build_hamiltonian(grid, np.zeros(grid.n_faces), 1.0), w, v)
+    assert spectral_flow_check(build_hamiltonian(grid, np.zeros(grid.n_faces), 1.0), w, v) == flows
 
 
 @pytest.mark.parametrize(
@@ -350,6 +351,15 @@ def blocks_grid():
     return DomainGrid(mask, 0.05)
 
 
+def axis_wall(grid, *gammas):
+    """gammas[a] on every face normal to axis a."""
+    return np.array(gammas)[grid.boundary_faces[:, 1]]
+
+
+_RECT = rect_grid(1.0, 0.75, 24)
+_DISK = disk_grid(0.5, 40)
+
+
 @pytest.mark.parametrize(
     "grid, gamma",
     [
@@ -364,11 +374,21 @@ def blocks_grid():
         (blocks_grid(), 1.5),
         (ball_grid(12), 1.0),
         (box_grid(), 1.0),
+        # per-face walls
+        (_RECT, axis_wall(_RECT, 1.0, 3.0)),
+        (_RECT, axis_wall(_RECT, math.inf, 2.0)),
+        (interval_grid(1.0, 200), np.array([-1.0, 4.0])),
+        (_DISK, np.random.default_rng(5).uniform(-2.0, 5.0, _DISK.n_faces)),
+        (disk_grid(1.0, 40), minimal_packet_gamma(disk_grid(1.0, 40), 6.0, [0.1, -0.2])[0]),
     ],
-    ids=["disk-48-3", "disk-48+0", "disk-48+1.5", "rect-24", "ring", "blocks+0.1", "blocks+1.5", "ball-12", "box"],
+    ids=[
+        "disk-48-3", "disk-48+0", "disk-48+1.5", "rect-24", "ring", "blocks+0.1", "blocks+1.5", "ball-12", "box",
+        "rect-24-x1-y3", "rect-24-xinf-y2", "interval-200-ends", "disk-40-seeded", "disk-40-packet",
+    ],
 )
 def test_spectral_flow_matches_full_re_solves(grid, gamma):
-    # the reference: a full solve of the Hamiltonian at each of gamma +- step
+    # the reference: a full solve of the Hamiltonian at each of gamma +- step;
+    # on a per-face wall every finite face moves and every +-inf face stays
     count, step = 6, qdot_fd._FLOW_STEP
     ham = build_hamiltonian(grid, gamma, 1.0)
     w, v = solve_lowest(ham, count)
@@ -397,6 +417,28 @@ def test_spectral_flow_checks_every_nearby_pair(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(SolverFailureError, match="at gamma 1.00001 residual"):
             spectral_flow_check(ham, w, v)
+    # a d = 1 solve at gamma +- step goes through the same check, named the
+    # same way; a per-face wall's message names the step, not the array
+    grid = interval_grid(1.0, 200)
+    for gamma, where in ((1.0, "at gamma 1.00001 residual"), ([1.0, 2.0], "at gamma+1e-05 on every finite face residual")):
+        ham = build_hamiltonian(grid, gamma, 1.0)
+        w, v = solve_lowest(ham, 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(qdot_fd, "_residual_bound", lambda w: 0.0 * w)  # only after the printed solve
+            with pytest.raises(SolverFailureError, match=re.escape(where)):
+                spectral_flow_check(ham, w, v)
+
+
+@pytest.mark.parametrize("gx, gy", [(1.0, 3.0), (-1.0, 2.0), (math.inf, 0.5), (2.5, 2.5)])
+def test_two_valued_rectangle_wall_is_separable(gx, gy):
+    # gx on the x faces and gy on the y faces make A = A_x (x) I + I (x) A_y:
+    # the lowest levels are the lowest sums of two interval spectra
+    grid = _RECT
+    (nx, ny), h = grid.mask.shape, grid.h
+    w, _ = solve_lowest(build_hamiltonian(grid, axis_wall(grid, gx, gy), 1.0), 6)
+    lx, ly = (solve_lowest(build_hamiltonian(interval_grid(n * h, n), g, 1.0), 6)[0] for n, g in ((nx, gx), (ny, gy)))
+    want = np.sort((lx[:, None] + ly[None, :]).ravel())[:6]
+    assert np.all(np.abs(w - want) <= 1e-13 * np.abs(want)), (w, want)
 
 
 def test_gaussian_packet_saturation_first_order():
