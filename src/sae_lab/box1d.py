@@ -407,9 +407,7 @@ def _levels(m: float, L: float, gammas, count: int):
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
     g = np.array(gammas, dtype=float)
-    if np.count_nonzero(np.isnan(g)):
-        raise InvalidArgumentError("gamma must not be NaN")
-    width = max(count, 2)  # the wall pair is ordered even for count 1
+    width = max(count, 2)  # _with_walls solves the wall pair in columns 0 and 1
     with np.errstate(all="ignore"):
         g[g == -np.inf] = np.inf  # the same extension as +inf
         c, e = g * L, g + 2.0 / L
@@ -449,11 +447,6 @@ def _levels(m: float, L: float, gammas, count: int):
     parity[:, 1::2] = 1
     if walls:
         np.negative(energy, out=energy, where=wall)
-        # rounding can swap the deeply bound wall pair
-        swap = pair & (energy[:, 1] < energy[:, 0])
-        if np.count_nonzero(swap):
-            for a in (k, energy, parity):
-                a[swap, :2] = a[swap, 1::-1]
     if width > count:
         k, energy, branch, parity = k[:, :count], energy[:, :count], branch[:, :count], parity[:, :count]
     # Energies are strictly increasing analytically.  The one place doubles

@@ -535,15 +535,9 @@ def main(argv=None) -> int:
     params = vars(_parser().parse_args(argv))
     try:
         text = _render(params, *_DISPATCH[params["subcommand"]](params))
-    except GridIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SolverFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GridIOError) else 4 if isinstance(exc, SolverFailureError) else 2
 
     out_path = params.get("output")
     try:

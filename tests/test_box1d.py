@@ -450,6 +450,23 @@ def test_spectrum_root_searches_match_the_levels_needed():
             assert solve_spectrum(spec, count) == solve_spectrum(spec, 2 * count + 4)[:count]
 
 
+def test_deep_wall_pair_is_ordered_as_solved():
+    # Newton keeps each root in its bracket: the even wall state's lies at or
+    # above |gamma| and the odd one's at or below it, so E0 <= E1 with no
+    # reordering.  Below d = gamma L + 2 = -40 both brackets are the point
+    # |gamma|, a tie; the splitting rounds away from gamma L ~ -38 on.
+    gl = np.linspace(-60.0, -2.0, 200_001)[:-1]
+    for L in (0.5, 1.0, 3.7):
+        gammas = gl / L
+        _, energy, branch, parity = box1d._levels(1.0, L, gammas, 2)
+        assert np.all(branch == 1)
+        assert np.all(parity == [0, 1])
+        assert np.all(energy[:, 0] <= energy[:, 1])
+        point = (gammas + 2.0 / L) * L < -40.0
+        assert np.count_nonzero(point) > 0
+        assert np.array_equal(energy[point, 0], energy[point, 1])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=-25.0, max_value=25.0), st.integers(min_value=1, max_value=6))
 def test_energies_strictly_increasing(gamma, count):

@@ -248,10 +248,18 @@ def test_dot_io_and_usage_failures(tmp_path, capsys):
 
 def test_dot_bad_grid_files_exit_3_with_a_short_message(tmp_path, capsys):
     bad = tmp_path / "bad.grid"
-    for text in (b"\xff\xfe 2 0.1 4 4", b"[" * 100_000, b"7 0.1 " + b"1" * 100_000):
+    for text, message in [
+        (b"\xff\xfe 2 0.1 4 4", "can't decode byte 0xff"),
+        (b"[" * 100_000, "bad header"),
+        (b"7 0.1 " + b"1" * 100_000, "bad header"),
+        (b"", "is empty"),
+        (b"1 0.1 3\n000\n", "mask contains no cells"),
+        # |origin| + h n = 2.4e308 overflows
+        (b"1 4e307 4\n1111\n", "cell coordinates must be finite"),
+    ]:
         bad.write_bytes(text)
         rc, out, err = run_cli(["dot", "--grid", str(bad)], capsys)
-        assert (rc, out) == (3, "") and err.startswith("error: ")
+        assert (rc, out) == (3, "") and err.startswith("error: ") and message in err, (text[:20], err)
         assert len(err) < 200 + len(str(bad))
 
 
@@ -295,13 +303,29 @@ def test_dot_factors_once_per_part(tmp_path, monkeypatch, capsys):
 
 
 def test_solver_failure_maps_to_exit_4(monkeypatch, capsys):
-    def boom(ham, count):
-        raise SolverFailureError("synthetic failure")
+    def raising(error):
+        def boom(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(qdot_fd, "solve_lowest", boom)
-    rc, out, err = run_cli(["dot", "--shape", "disk", "--resolution", "16"], capsys)
-    assert rc == 4
-    assert "synthetic failure" in err
+        return boom
+
+    newton = box1d._newton
+    disk = ["dot", "--shape", "disk", "--resolution", "16"]
+    spectrum = ["spectrum", "--gamma", "3"]
+    cases = [
+        (qdot_fd, "solve_lowest", raising(SolverFailureError("synthetic failure")), disk, "synthetic failure"),
+        (box1d, "_MAX_STEPS", 1, spectrum, "a root search did not converge in 1 steps"),
+        # levels in descending order
+        (box1d, "_newton", lambda *args: newton(*args)[:, ::-1], spectrum, "energy ordering violated"),
+        (qdot_fd, "eigsh", raising(RuntimeError("synthetic")), disk, "shift-invert eigensolver failed"),
+        (qdot_fd, "eigh_tridiagonal", raising(np.linalg.LinAlgError("synthetic")),
+         ["dot", "--shape", "interval", "--resolution", "50"], "tridiagonal eigensolver failed"),
+    ]
+    for module, name, value, argv, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, value)
+            rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (4, "") and err.startswith("error: ") and message in err, (name, err)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +356,11 @@ def test_scatter_neumann_phase(capsys):
     assert all(row["phase_shift"] == pytest.approx(2 * math.pi) for row in doc["rows"])
     rc, _, err = run_cli(["scatter", "--k-min", "0"], capsys)
     assert rc == 2
+    for args, message in [
+        (["--k-steps", "0"], "k-steps must be >= 1, got 0"),
+        (["--k-min", "2", "--k-max", "1"], "empty wavenumber range [2.0, 1.0]"),
+    ]:
+        assert run_cli(["scatter", *args], capsys) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -362,8 +391,14 @@ def test_wall_error_shrinks_first_order(capsys):
     assert all(e > 0 for e in errors)
     for wide, narrow in zip(errors, errors[1:]):
         assert wide / narrow == pytest.approx(2.0, abs=0.1)
-    rc, _, err = run_cli(["wall", "--epsilons", "0.02,zebra"], capsys)
-    assert rc == 2
+    for args, message in [
+        (["--epsilons", "0.02,zebra"], "--epsilons must be a comma-separated float list, got '0.02,zebra'"),
+        (["--epsilons", ","], "--epsilons list is empty"),
+        (["--gamma", "inf"], "thin-well construction needs finite gamma"),
+        (["--epsilons", "-1"], "well width must be positive and finite, got -1.0"),
+        (["--mass", "-1"], "mass must be positive and finite, got -1.0"),
+    ]:
+        assert run_cli(["wall", *args], capsys) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +454,8 @@ def test_hetero_csv_and_io_errors(tmp_path, capsys):
         bad.write_bytes(text)
         rc, _, err = run_cli(["hetero", "--matrix", str(bad)], capsys)
         assert rc == 3 and err.startswith("error: ")
+    bad.write_text('{"theta": 0}')
+    assert run_cli(["hetero", "--matrix", str(bad)], capsys) == (3, "", f"error: junction file {bad}: missing 'entries'\n")
 
 
 def test_hetero_out_of_range_numbers(tmp_path, capsys):
@@ -728,6 +765,7 @@ def test_missing_subcommand_is_usage_error(capsys):
     [
         (["dot", "--shape", "disk", "--resolution", "0"], 2),
         (["dot", "--shape", "annulus", "--resolution", "0"], 2),
+        (["dot", "--shape", "annulus", "--resolution", "8", "--length", "1", "--length2", "2"], 2),
         (["spectrum", "--length", "0"], 2),
         (["spectrum", "--gamma", "2e16"], 0),
         (["spectrum", "--gamma=-5e16", "--raw-units"], 0),

@@ -266,6 +266,8 @@ def test_mixing_parts_over_an_array_is_the_scalar_rule(drawn):
 def test_eta_wall_validation():
     with pytest.raises(InvalidArgumentError):
         dw.EtaWall(math.nan)
+    with pytest.raises(InvalidArgumentError, match="eta0 must be a real number, got 'abc'"):
+        dw.EtaWall("abc")
 
 
 def test_dispersion_argument_errors():

@@ -572,6 +572,8 @@ def test_grid_file_errors(tmp_path):
     bad.write_text("1 0.5 4\n11x1\n")
     with pytest.raises(GridIOError):
         read_grid(bad)
+    with pytest.raises(GridIOError, match="cannot write grid file"):
+        write_grid(interval_grid(1.0, 4), tmp_path)
 
 
 def test_robin_field_file(tmp_path):
@@ -588,16 +590,29 @@ def test_robin_field_file(tmp_path):
     path.write_text("0,not-a-number\n")
     with pytest.raises(GridIOError):
         read_robin_field(path, grid)
+    with pytest.raises(GridIOError, match="cannot read boundary field"):
+        read_robin_field(tmp_path / "missing.csv", grid)
 
 
 def test_invalid_configurations():
     with pytest.raises(InvalidArgumentError):
         DomainGrid(np.zeros((4, 4), dtype=bool), 0.1)
+    with pytest.raises(InvalidArgumentError, match="mask must be 1-, 2- or 3-dimensional"):
+        DomainGrid(np.ones((2, 2, 2, 2), dtype=bool), 0.1)
+    with pytest.raises(InvalidArgumentError, match="^origin must have 2 components$"):
+        DomainGrid(np.ones((2, 2), dtype=bool), 0.1, origin=[0.0])
     with pytest.raises(InvalidArgumentError):
         build_hamiltonian(interval_grid(1.0, 4), 0.0, -1.0)
     grid = interval_grid(1.0, 4)
     with pytest.raises(InvalidArgumentError, match="boundary field has 3 values, grid has 2 faces"):
         moments(grid, np.zeros(3), np.ones(4))
+    for psi, message in [
+        (np.full(4, 1e200), "moments leaves the double range"),
+        (np.ones(3), "state must have one value per cell"),
+        (np.zeros(4), "state has zero or non-finite norm"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=message):
+            moments(grid, 0.0, psi)
     with pytest.raises(InvalidArgumentError, match="boundary field has 3 values, grid has 2 faces"):
         build_hamiltonian(grid, np.zeros(3), 1.0)
     with pytest.raises(InvalidArgumentError, match="^gamma must not be NaN$"):

@@ -144,6 +144,8 @@ def test_effective_gamma_does_not_depend_on_mass():
     want = effective_gamma(square_well_parameters(2.0, 0.01, 1.0), 1.0)
     for m in (1e-300, 3.0, 1e300, sys.float_info.max):
         assert effective_gamma(square_well_parameters(2.0, 0.01, m), m) == pytest.approx(want, rel=1e-14)
+    with pytest.raises(InvalidArgumentError, match="mass must be positive and finite, got -1.0"):
+        effective_gamma(square_well_parameters(2.0, 0.01, 1.0), -1.0)
 
 
 def test_too_wide_well_rejected():
