@@ -436,6 +436,8 @@ def _levels(m: float, L: float, gammas, count: int):
             np.copyto(k, x, where=wall)
         energy = k * k / m / 2.0
     branch = (x == 0.0) * 2 + wall  # oscillatory 0, evanescent 1, zero mode 2
+    # from here on only the levels asked for: column 1 may overflow where they do not
+    k, energy, branch, wall = k[:, :count], energy[:, :count], branch[:, :count], wall[:, :count]
     overflow = np.isinf(energy)
     if np.count_nonzero(overflow):
         i, j = np.argwhere(overflow)[0]
@@ -443,12 +445,10 @@ def _levels(m: float, L: float, gammas, count: int):
             f"the {_BRANCHES[branch[i, j]]} level with wavenumber {k[i, j]} at gamma={gammas[i]} "
             "has an energy beyond double precision"
         )
-    parity = np.zeros(x.shape, dtype=int)
+    parity = np.zeros(energy.shape, dtype=int)
     parity[:, 1::2] = 1
     if walls:
         np.negative(energy, out=energy, where=wall)
-    if width > count:
-        k, energy, branch, parity = k[:, :count], energy[:, :count], branch[:, :count], parity[:, :count]
     # Energies are strictly increasing analytically.  The one place doubles
     # cannot resolve the gap is the deeply bound wall pair, whose splitting
     # shrinks like exp(-|gamma| L); a tie there is expected, not a bug.

@@ -29,10 +29,15 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
+
+# Before numpy and scipy load OpenBLAS: one thread unless the user set a count.  The dot
+# path's small dense products run faster so, and their bits then follow no core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -401,6 +401,9 @@ def test_invalid_arguments_rejected():
     # wall-bound energy -gamma^2/2m beyond double precision
     with pytest.raises(InvalidArgumentError):
         solve_spectrum(BoxSpec(1.0, 1.0, -1e200), 3)
+    # only the levels asked for: level 1 overflows here, E0 ~ 5e307 does not
+    (state,) = solve_spectrum(BoxSpec(math.pi**2 / 1e308, 1.0, INF), 1)
+    assert math.isfinite(state.energy) and state.energy > 4e307
 
 
 @pytest.mark.parametrize("count", [5, 50])

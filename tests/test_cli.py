@@ -1044,10 +1044,12 @@ def test_hetero_file_ends_in_a_clean_exit(entries, theta, fmt, tmp_path_factory)
     _clean_exit(["hetero", "--matrix", str(path), "--format", fmt], codes=(0, 2, 3, 4))
 
 
-def _fresh_python(code, *args):
-    """stdout of `python -c code args` in a new interpreter that imports this sae_lab."""
+def _fresh_python(code, *args, **changes):
+    """stdout of `python -c code args` in a new interpreter that imports this sae_lab,
+    with the environment variables in ``changes`` set, or removed where None."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {name: value for name, value in {**env, **changes}.items() if value is not None}
     result = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
@@ -1093,3 +1095,21 @@ def test_dot_still_loads_its_solver():
     rc, loaded = out.split(" ", 1)
     assert rc == "0"
     assert "sae_lab.qdot_fd" in loaded and "'scipy'" in loaded
+
+
+# Importing cli sets OPENBLAS_NUM_THREADS in this process too, so each child
+# below names the value it starts with, or removes it.
+@pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_sets_one_blas_thread_unless_the_user_set_a_count(threads, expected):
+    code = "import os, sae_lab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=threads) == expected
+
+
+@pytest.mark.parametrize("gamma", ["-1", "1"])
+def test_dot_bytes_with_the_default_blas_threads_equal_one_thread(gamma):
+    # disk-64 flow lhs values move by ~1e-10 between 1 and 2 BLAS threads
+    code = "import sys, sae_lab.cli; sys.exit(sae_lab.cli.main(sys.argv[1:]))"
+    args = ["dot", "--shape", "disk", "--resolution", "64", "--count", "6", "--format", "json", f"--gamma={gamma}"]
+    unset = _fresh_python(code, *args, OPENBLAS_NUM_THREADS=None)
+    assert json.loads(unset)["levels"][0]["flow"] is not None
+    assert unset == _fresh_python(code, *args, OPENBLAS_NUM_THREADS="1")
