@@ -434,7 +434,7 @@ def _levels(m: float, L: float, gammas, count: int):
         k = x / L
         if walls:
             np.copyto(k, x, where=wall)
-        energy = k * k / m / 2.0
+        energy = k * k / 2.0 / m
     branch = (x == 0.0) * 2 + wall  # oscillatory 0, evanescent 1, zero mode 2
     # from here on only the levels asked for: column 1 may overflow where they do not
     k, energy, branch, wall = k[:, :count], energy[:, :count], branch[:, :count], wall[:, :count]

@@ -66,11 +66,11 @@ __all__ = [
 
 
 class DomainGrid:
-    """A rasterized domain: boolean mask on a uniform grid plus geometry.
+    """A rasterized domain: boolean mask on a uniform grid of spacing h.
 
     ``mask`` has shape (nx,), (nx, ny) or (nx, ny, nz); True cells belong to
-    the dot.  ``origin`` is the coordinate of the lower corner of cell
-    (0, ..., 0), so cell centers sit at origin + (index + 1/2) h.
+    the dot.  The box is centered on 0: cell i of an axis of n cells is
+    centered at -h n/2 + (i + 1/2) h, so a mask file holds the whole grid.
 
     Derived attributes, all in the fixed orders described in the module
     docstring: ``cell_centers`` (N, d); ``neighbors`` (d, 2, N), the cell
@@ -80,7 +80,7 @@ class DomainGrid:
     cell, axis, orient).
     """
 
-    def __init__(self, mask: np.ndarray, h: float, origin=None):
+    def __init__(self, mask: np.ndarray, h: float):
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim not in (1, 2, 3):
             raise InvalidArgumentError(f"mask must be 1-, 2- or 3-dimensional, got shape {mask.shape}")
@@ -92,19 +92,15 @@ class DomainGrid:
         self.mask = mask
         self.d = mask.ndim
         self.h = float(h)
-        if origin is None:
-            origin = [-0.5 * self.h * n for n in mask.shape]
-        self.origin = np.asarray(origin, dtype=float)
-        if self.origin.shape != (self.d,):
-            raise InvalidArgumentError(f"origin must have {self.d} components")
-        if not math.isfinite(float(np.abs(self.origin).max()) + self.h * max(mask.shape)):
+        corner = -0.5 * self.h * np.array(mask.shape)  # the lower corner of cell (0, ..., 0)
+        if not math.isfinite(float(np.abs(corner).max()) + self.h * max(mask.shape)):
             raise InvalidArgumentError("cell coordinates must be finite")
 
         cell_index = np.full(mask.shape, -1, dtype=np.int64)
         inside = np.argwhere(mask)  # C order
         self.n_cells = len(inside)
         cell_index[tuple(inside.T)] = np.arange(self.n_cells)
-        self.cell_centers = self.origin + (inside + 0.5) * self.h
+        self.cell_centers = corner + (inside + 0.5) * self.h
 
         # one -1 cell padded on every side: the cell at index + step along an
         # axis is read from the padded index shifted by -step
@@ -232,9 +228,9 @@ def _check_size(n: int, *lengths: float) -> None:
 
 
 def interval_grid(L: float, n: int) -> DomainGrid:
-    """n cells covering [-L/2, L/2]."""
+    """n cells of spacing h = L/n covering [-h n/2, h n/2], which is [-L/2, L/2] up to rounding."""
     _check_size(n, L)
-    return DomainGrid(np.ones(n, dtype=bool), L / n, origin=np.array([-L / 2.0]))
+    return DomainGrid(np.ones(n, dtype=bool), L / n)
 
 
 def rect_grid(Lx: float, Ly: float, n: int) -> DomainGrid:
@@ -244,15 +240,15 @@ def rect_grid(Lx: float, Ly: float, n: int) -> DomainGrid:
     if not (h > 0 and n * (Ly / h) <= np.iinfo(np.intp).max):
         raise InvalidArgumentError(f"a {Lx} x {Ly} rectangle with {n} cells along x has too many cells")
     ny = max(1, round(Ly / h))
-    return DomainGrid(np.ones((n, ny), dtype=bool), h, origin=np.array([-Lx / 2.0, -ny * h / 2.0]))
+    return DomainGrid(np.ones((n, ny), dtype=bool), h)
 
 
 def _disk_box(radius: float, n: int):
-    """Spacing and squared center distances of the n x n box around a disk."""
+    """Spacing and squared distances of the n x n box's cell centers, as DomainGrid places them."""
     if not math.isfinite(2.0 * radius * radius):
         raise InvalidArgumentError(f"radius {radius} is too large: squared distances overflow")
     h = 2.0 * radius / n
-    centers = -radius + (np.arange(n) + 0.5) * h
+    centers = -0.5 * h * n + (np.arange(n) + 0.5) * h
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     return h, xx**2 + yy**2
 
@@ -261,7 +257,7 @@ def disk_grid(radius: float, n: int) -> DomainGrid:
     """Rasterized disk of the given radius, n cells across (h = 2 radius/n)."""
     _check_size(n, radius)
     h, rr = _disk_box(radius, n)
-    return DomainGrid(rr < radius**2, h, origin=np.array([-radius, -radius]))
+    return DomainGrid(rr < radius**2, h)
 
 
 def annulus_grid(r_inner: float, r_outer: float, n: int) -> DomainGrid:
@@ -270,13 +266,14 @@ def annulus_grid(r_inner: float, r_outer: float, n: int) -> DomainGrid:
     if not r_inner < r_outer:
         raise InvalidArgumentError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
     h, rr = _disk_box(r_outer, n)
-    return DomainGrid((rr > r_inner**2) & (rr < r_outer**2), h, origin=np.array([-r_outer, -r_outer]))
+    return DomainGrid((rr > r_inner**2) & (rr < r_outer**2), h)
 
 
 def read_grid(path) -> DomainGrid:
     """Read a mask file: header ``d h n1 [n2 [n3]]``, then 0/1 cells in C order.
 
     Whitespace between cells is ignored, so rows may be laid out one per line.
+    ``read_grid(write_grid(g))`` has g's mask, h and cell centers bit for bit.
     """
     try:
         with open(path) as fh:

@@ -404,6 +404,9 @@ def test_invalid_arguments_rejected():
     # only the levels asked for: level 1 overflows here, E0 ~ 5e307 does not
     (state,) = solve_spectrum(BoxSpec(math.pi**2 / 1e308, 1.0, INF), 1)
     assert math.isfinite(state.energy) and state.energy > 4e307
+    # E0 = pi^2/2m ~ 1e308 is finite though k^2/m is not: halve k^2 first
+    (state,) = solve_spectrum(BoxSpec(math.pi**2 / 1e308 / 2, 1.0, INF), 1)
+    assert math.isfinite(state.energy) and state.energy > 9e307
 
 
 @pytest.mark.parametrize("count", [5, 50])

@@ -218,6 +218,24 @@ def test_dot_grid_file_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "shape, length, n, gamma, count",
+    [("interval", 1.84996, 288, -1.0, 3), ("disk", 0.9572370830120515, 29, -3.0, 5)],
+    ids=["interval-288", "disk-29"],
+)
+def test_dot_shape_prints_the_levels_of_its_mask_file(shape, length, n, gamma, count, tmp_path, capsys):
+    # a grid is its mask and h: a built-in shape and its mask file print the
+    # same levels, slacks included, bit for bit
+    path = tmp_path / "shape.grid"
+    qdot_fd.write_grid({"interval": qdot_fd.interval_grid, "disk": qdot_fd.disk_grid}[shape](length, n), path)
+    levels = []
+    for where in (["--shape", shape, f"--length={length!r}", f"--resolution={n}"], ["--grid", str(path)]):
+        rc, out, _ = run_cli(["dot", *where, f"--gamma={gamma!r}", f"--count={count}", "--format", "json"], capsys)
+        assert rc == 0
+        levels.append(json.dumps(json.loads(out)["levels"]))
+    assert levels[0] == levels[1]
+
+
+@pytest.mark.parametrize(
     "extra, code",
     [([], 0), (["--length2", "0.3"], 2), (["--length", "5", "--resolution", "3"], 2),
      (["--length", "1"], 2), (["--resolution", "64"], 2)],
@@ -254,7 +272,7 @@ def test_dot_bad_grid_files_exit_3_with_a_short_message(tmp_path, capsys):
         (b"7 0.1 " + b"1" * 100_000, "bad header"),
         (b"", "is empty"),
         (b"1 0.1 3\n000\n", "mask contains no cells"),
-        # |origin| + h n = 2.4e308 overflows
+        # the lower corner's |-h n/2| plus h n, 2.4e308, overflows
         (b"1 4e307 4\n1111\n", "cell coordinates must be finite"),
     ]:
         bad.write_bytes(text)

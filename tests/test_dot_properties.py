@@ -6,7 +6,8 @@ A flow may be null; `qdot_fd.spectral_flow_check` says when.  Each example
 runs `dot` through `cli.main` on interval, rectangle, disk, annulus or a
 ball mask file, with gamma log-uniform on both signs up to 1e14, or +-inf.
 `dot` takes no per-face wall, so a second property calls the library on
-walls with one gamma per face.
+walls with one gamma per face.  A third checks Ky Fan concavity: every sum
+of the lowest levels is concave in a uniform gamma.
 """
 
 import json
@@ -95,3 +96,33 @@ def test_every_per_face_flow_is_positive_and_matches_its_rhs(shape, resolution, 
         if flow is not None:
             lhs, rhs = flow
             assert lhs > 0 and abs(lhs - rhs) <= 1e-6 * rhs, (shape, resolution, gamma, flow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(_GRIDS)),
+    resolution=st.integers(min_value=2, max_value=24),
+    gamma=st.floats(min_value=-20.0, max_value=20.0),
+    delta=st.floats(min_value=1e-3, max_value=4.0),
+    count=st.integers(min_value=1, max_value=6),
+)
+def test_sums_of_the_lowest_levels_are_concave_in_gamma(shape, resolution, gamma, delta, count):
+    # H(gamma) = H0 + gamma D with D >= 0 diagonal, so by Ky Fan's principle
+    # each partial sum S_K = sum_{k<K} E_k is a minimum of functions affine in
+    # gamma, hence concave: S_K(gamma - delta) - 2 S_K(gamma) + S_K(gamma + delta)
+    # <= 0.  Single levels need not be concave, so only sums are tested.
+    # The floor: a level is its vector's difference form, which rounds to about
+    # eps (|link| + |face|)/(2 m norm) (`spectral_flow_check`), at most
+    # eps ||A||, and ||A|| at each of the three walls is at most the
+    # Gershgorin bound G = (4d/h^2 + 2d (|gamma| + delta)/h)/2m.  fsum adds the
+    # 3K levels, weighted 1, -2 and 1, exactly, so the computed second
+    # difference is at most 4 K eps G.
+    grid = _GRIDS[shape](resolution)
+    K = min(count, grid.n_cells)
+    below, at, above = (
+        qdot_fd.solve_lowest(qdot_fd.build_hamiltonian(grid, g, 1.0), K)[0] for g in (gamma - delta, gamma, gamma + delta)
+    )
+    G = (4 * grid.d / grid.h**2 + 2 * grid.d * (abs(gamma) + delta) / grid.h) / 2.0
+    for k in range(1, K + 1):
+        second = math.fsum([*below[:k], *(-2.0 * at[:k]), *above[:k]])
+        assert second <= 4 * k * np.finfo(float).eps * G, (shape, resolution, gamma, delta, k, second)

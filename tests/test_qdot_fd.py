@@ -61,8 +61,10 @@ def discrete_robin_levels(n, L, m, gamma, count):
     Level k is 4 t sin^2(theta/2), t = 1/(2 m h^2), with theta the root in
     [k pi/n, (k+1) pi/n] of n theta = k pi + 2 atan(q cot(theta/2)).
     """
-    h = L / n
-    q = gamma * h / (2.0 - gamma * h)  # the face term's ghost cell, psi_g = (1 - gamma h) psi_c
+    grid = interval_grid(L, n)
+    h = grid.h
+    g = _face_term(grid, gamma)[0][0]
+    q = g * h / (2.0 - g * h)  # the face term's ghost cell, psi_g = (1 - g h) psi_c
     eps = np.finfo(float).eps
 
     def phase(theta, k):
@@ -237,11 +239,14 @@ def test_mean_p2_matches_energy_functional():
 
 
 def test_slack_translation_invariant():
-    # slack_general depends only on shape-relative data; shifting the origin
-    # must not change it (the N combination is built to be translation-proof)
+    # slack_general depends only on shape-relative data; moving the disk off
+    # the box center must not change it (the N combination is built to be
+    # translation-proof).  The padding keeps the cells in C order and moves
+    # the disk by (3.7, -1.2).
     mask = disk_grid(0.5, 40).mask
     g1 = DomainGrid(mask, 1.0 / 40)
-    g2 = DomainGrid(mask, 1.0 / 40, origin=g1.origin + np.array([3.7, -1.2]))
+    g2 = DomainGrid(np.pad(mask, ((296, 0), (0, 96))), 1.0 / 40)
+    assert np.allclose(g2.cell_centers - g1.cell_centers, [3.7, -1.2], rtol=0, atol=1e-12)
     rng = np.random.default_rng(11)
     psi = rng.normal(size=g1.n_cells) + 0.5
     field = 0.8
@@ -450,9 +455,8 @@ def test_gaussian_packet_saturation_first_order():
         field, rep = minimal_packet_gamma(grid, 8.0, [0.0])
         assert rep.slack_general >= 0.0
         slacks.append(rep.slack_general)
-        vals = _face_term(grid, field)[0]
         # matched field on the two end faces is alpha*L/2 on both
-        assert vals == pytest.approx([4.0, 4.0], abs=1e-12)
+        assert field == pytest.approx([4.0, 4.0], abs=1e-12)
     assert slacks[0] <= 2e-3
     assert 0.4 * slacks[0] <= slacks[1] <= 0.6 * slacks[0]
 
@@ -472,7 +476,7 @@ def test_interior_packet_slack_vanishes_quadratically():
 def test_degenerate_packet_recovers_neumann():
     grid = disk_grid(0.5, 24)
     field, _ = minimal_packet_gamma(grid, 1e-12, [0.0, 0.0])
-    assert np.max(np.abs(_face_term(grid, field)[0])) <= 1e-10
+    assert np.max(np.abs(field)) <= 1e-10
 
 
 def test_cross_module_slack_agreement():
@@ -550,13 +554,26 @@ def test_iterative_path_matches_dense_oracle():
 
 
 def test_grid_file_roundtrip(tmp_path):
-    for grid in (interval_grid(1.0, 7), disk_grid(0.5, 12)):
-        path = tmp_path / "grid.txt"
-        write_grid(grid, path)
-        back = read_grid(path)
-        assert back.d == grid.d
-        assert back.h == grid.h
-        assert np.array_equal(back.mask, grid.mask)
+    # a mask file holds the whole grid: every built-in shape reads back with
+    # its mask, h and cell centers bit for bit
+    rng = np.random.default_rng(41)
+    make = {
+        "interval": interval_grid,
+        "rect": lambda L, n: rect_grid(L, L * rng.uniform(0.3, 1.5), n),
+        "disk": disk_grid,
+        "annulus": lambda L, n: annulus_grid(0.5 * L, L, n),
+    }
+    path = tmp_path / "grid.txt"
+    for shape, draws in [("interval", 150), ("rect", 40), ("disk", 80), ("annulus", 40)]:
+        for _ in range(draws):
+            L = 10.0 ** rng.uniform(-0.3, 0.3)
+            n = int(rng.integers(1 if shape != "annulus" else 2, 3001 if shape == "interval" else 129))
+            grid = make[shape](L, n)
+            write_grid(grid, path)
+            back = read_grid(path)
+            assert (back.d, back.h) == (grid.d, grid.h)
+            assert np.array_equal(back.mask, grid.mask)
+            assert np.array_equal(back.cell_centers, grid.cell_centers), (shape, L, n)
 
 
 def test_grid_file_errors(tmp_path):
@@ -580,10 +597,7 @@ def test_robin_field_file(tmp_path):
     grid = interval_grid(1.0, 5)  # two faces
     path = tmp_path / "field.csv"
     path.write_text("face,gamma\n0,2.5\n1,inf\n")
-    field = read_robin_field(path, grid)
-    vals = _face_term(grid, field)[0]
-    assert vals[0] == 2.5
-    assert vals[1] == 2.0 / grid.h  # Dirichlet face becomes the exact 2/h
+    assert np.array_equal(read_robin_field(path, grid), [2.5, math.inf])
     path.write_text("0,1.0\n5,2.0\n")
     with pytest.raises(GridIOError):
         read_robin_field(path, grid)
@@ -599,8 +613,6 @@ def test_invalid_configurations():
         DomainGrid(np.zeros((4, 4), dtype=bool), 0.1)
     with pytest.raises(InvalidArgumentError, match="mask must be 1-, 2- or 3-dimensional"):
         DomainGrid(np.ones((2, 2, 2, 2), dtype=bool), 0.1)
-    with pytest.raises(InvalidArgumentError, match="^origin must have 2 components$"):
-        DomainGrid(np.ones((2, 2), dtype=bool), 0.1, origin=[0.0])
     with pytest.raises(InvalidArgumentError):
         build_hamiltonian(interval_grid(1.0, 4), 0.0, -1.0)
     grid = interval_grid(1.0, 4)
